@@ -10,7 +10,7 @@ the midpoint of their range images that the range misses.
 Main entry points:
 
 * :func:`check_convexity` — verdict plus certificate and decision trail.
-* :func:`check_flores_bazan` — independent verdict via a direction criterion.
+* :func:`check_flores_bazan` — verdict via a direction criterion, on the same reduction.
 * :func:`cross_check` — run both and compare.
 * :func:`level_pair_separation` — the two-way separation test at fixed levels.
 * :func:`sample_range` / :func:`detect_holes` — sampling oracle.
@@ -37,7 +37,6 @@ from .errors import (
     InvalidInstance,
     InvalidReport,
     IoFailure,
-    NotReducible,
     OutOfRange,
     QRangeError,
     RootFailure,
@@ -61,8 +60,6 @@ from .quadratic import (
     compose_affine,
     evaluate,
     evaluate_many,
-    homogeneous_part,
-    linear_combination,
     load_problem,
     make_quadratic,
     problem_from_dict,
@@ -92,14 +89,12 @@ from .separation import (
 )
 from .spectral import (
     Inertia,
-    PsdClass,
     SpectralData,
     apply_pseudoinverse,
     eigh,
     inertia,
     null_space_basis,
     pencil_dependence,
-    psd_check,
     range_membership,
 )
 
@@ -125,8 +120,6 @@ __all__ = [
     "compose_affine",
     "evaluate",
     "evaluate_many",
-    "homogeneous_part",
-    "linear_combination",
     "load_problem",
     "make_quadratic",
     "problem_from_dict",
@@ -145,14 +138,12 @@ __all__ = [
     "level_pair_separation",
     # spectral helpers
     "Inertia",
-    "PsdClass",
     "SpectralData",
     "apply_pseudoinverse",
     "eigh",
     "inertia",
     "null_space_basis",
     "pencil_dependence",
-    "psd_check",
     "range_membership",
     # sampling oracle
     "HoleReport",
@@ -180,7 +171,6 @@ __all__ = [
     "InvalidInstance",
     "InvalidReport",
     "IoFailure",
-    "NotReducible",
     "OutOfRange",
     "RootFailure",
     "ZeroMatrix",

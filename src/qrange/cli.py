@@ -3,7 +3,7 @@
 Commands::
 
     qrange check        --input FILE        convexity verdict + certificate
-    qrange fb-check     --input FILE        independent direction-criterion verdict
+    qrange fb-check     --input FILE        direction-criterion verdict
     qrange cross-check  --input FILE        both checkers; exit 3 on disagreement
     qrange separate     --input FILE --alpha A --beta B   two-way level separation
     qrange witness      --input FILE        nonconvexity witness + verification
@@ -13,9 +13,7 @@ Commands::
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 cross-check
 disagreement, 4 internal invariant violation.  JSON output (the default for
 everything but ``reproduce``) is canonical and byte-stable for identical
-invocations; the effective tolerances are always echoed.  The
-``QRANGE_THREADS`` environment variable caps worker threads where a command
-can parallelize.
+invocations; the effective tolerances are always echoed.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .errors import (
     DegenerateCloud,
     InvalidReport,
     IoFailure,
-    NotReducible,
     OutOfRange,
     QRangeError,
     RootFailure,
@@ -49,7 +46,7 @@ EXIT_INVALID_INPUT = 2
 EXIT_DISAGREEMENT = 3
 EXIT_INTERNAL = 4
 
-_INTERNAL_ERRORS = (NotReducible, InvalidReport, RootFailure, OutOfRange, ConvergenceFailure)
+_INTERNAL_ERRORS = (InvalidReport, RootFailure, OutOfRange, ConvergenceFailure)
 
 
 class _UsageError(Exception):

@@ -1,7 +1,8 @@
 """Convexity of the joint range of two quadratics, with certificates.
 
-The joint range of ``(f, g)`` is ``{(f(x), g(x)) : x in R^n}``.  Two
-independent decision procedures are provided:
+The joint range of ``(f, g)`` is ``{(f(x), g(x)) : x in R^n}``.  Both
+decision procedures below read one shared reduction of the pair (screen,
+pencil fit, spectral facts), computed lazily:
 
 * :func:`check_convexity` — the separation path.  The range is nonconvex
   exactly when some level set of one function separates a level set of the
@@ -10,33 +11,36 @@ independent decision procedures are provided:
   full certificate: concrete levels, two attained range points, and the
   unattained point between them.
 
-* :func:`check_flores_bazan` — an independent direction-based criterion,
-  phrased through a direction ``d`` in range space that the homogeneous
-  range must avoid.  For a dependent pencil only two candidate directions
-  (up to positive scaling) can qualify, so the check is finite.
+* :func:`check_flores_bazan` — the direction-based criterion, phrased
+  through a direction ``d`` in range space that the homogeneous range must
+  avoid.  For a dependent pencil only two candidate directions (up to
+  positive scaling) can qualify, so the check is finite.
 
-:func:`cross_check` runs both and reports agreement; they are algebraically
-equivalent, so a mismatch indicates a tolerance or implementation bug rather
-than a property of the input.
+:func:`cross_check` runs both on one reduction and reports agreement.  The
+criteria are algebraically equivalent and share their numerics, so a
+mismatch points at the decision logic, not at the input; it is not an
+independent numerical second opinion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
 from .errors import InvalidReport
-from .quadratic import ProblemInstance, QuadraticFunction, ToleranceSet, evaluate
+from .quadratic import ProblemInstance, evaluate
 from .separation import (
     AffineForm,
-    affine_separates_quadratic,
+    HyperplaneReduction,
+    _affine_separates,
+    _separating_levels,
+    _separation_witness,
     combination_affine_form,
-    construct_separation_witness,
-    exists_separating_affine_levels,
 )
-from .spectral import eigh, inertia, null_space_basis, pencil_dependence, range_membership
+from .spectral import _pencil_fit, range_membership
 
 __all__ = [
     "VERDICT_CONVEX",
@@ -150,42 +154,61 @@ class CrossCheckResult:
         }
 
 
-def _norms(f: QuadraticFunction, g: QuadraticFunction) -> dict[str, float]:
-    return {
-        "f_matrix": float(np.linalg.norm(f.A)),
-        "g_matrix": float(np.linalg.norm(g.A)),
-        "f_linear": float(np.linalg.norm(f.a)),
-        "g_linear": float(np.linalg.norm(g.a)),
-    }
+class _PairReduction:
+    """The pair ``(f, g)`` reduced once, shared by both checkers.
 
-
-def _degenerate_screen(
-    f: QuadraticFunction, g: QuadraticFunction, tol: ToleranceSet
-) -> tuple[bool, bool, bool, bool, dict[str, float]]:
-    """Zero tests for the two matrices and the two linear terms.
-
-    Each object is "zero" relative to the larger of 1 and the pair's shared
-    scale, so a pair like ``(1e-14 * M, M)`` screens the tiny member as zero.
+    Construction runs the degenerate screen and the role swap; the pencil
+    fit, the combined gradient ``c = -ratio*f.a + g.a``, its zero test and the
+    :class:`HyperplaneReduction` of ``f`` along ``c`` are computed on first
+    use.  After the swap, ``f`` and ``g`` are the analysed pair.
     """
-    norms = _norms(f, g)
-    mat_scale = max(1.0, norms["f_matrix"], norms["g_matrix"])
-    vec_scale = max(1.0, norms["f_linear"], norms["g_linear"])
-    return (
-        norms["f_matrix"] <= tol.tol_dep * mat_scale,
-        norms["g_matrix"] <= tol.tol_dep * mat_scale,
-        norms["f_linear"] <= tol.tol_dep * vec_scale,
-        norms["g_linear"] <= tol.tol_dep * vec_scale,
-        norms,
-    )
 
+    def __init__(self, p: ProblemInstance) -> None:
+        self.tol = tol = p.tolerances
+        self.norms = norms = {
+            "f_matrix": float(np.linalg.norm(p.f.A)),
+            "g_matrix": float(np.linalg.norm(p.g.A)),
+            "f_linear": float(np.linalg.norm(p.f.a)),
+            "g_linear": float(np.linalg.norm(p.g.a)),
+        }
+        # Each object is "zero" relative to the larger of 1 and the pair's
+        # shared scale, so a pair like (1e-14 * M, M) screens the tiny member
+        # as zero.
+        mat_scale = max(1.0, norms["f_matrix"], norms["g_matrix"])
+        vec_scale = max(1.0, norms["f_linear"], norms["g_linear"])
+        self.fa_zero = norms["f_matrix"] <= tol.tol_dep * mat_scale
+        self.ga_zero = norms["g_matrix"] <= tol.tol_dep * mat_scale
+        self.a_zero = norms["f_linear"] <= tol.tol_dep * vec_scale
+        self.b_zero = norms["g_linear"] <= tol.tol_dep * vec_scale
+        self.swapped = bool(self.fa_zero and not self.ga_zero)
+        self.f, self.g = (p.g, p.f) if self.swapped else (p.f, p.g)
 
-def _combined_gradient_zero(
-    c: np.ndarray, ratio: float, f: QuadraticFunction, g: QuadraticFunction, tol: ToleranceSet
-) -> bool:
-    # c = -ratio*f.a + g.a can vanish by cancellation, so measure it against
-    # the magnitudes that entered the subtraction.
-    scale = max(1.0, abs(ratio) * float(np.linalg.norm(f.a)) + float(np.linalg.norm(g.a)))
-    return float(np.linalg.norm(c)) <= tol.tol_dep * scale
+    @cached_property
+    def pencil(self) -> tuple[float, float, bool]:
+        """Projected ratio, residual and dependence verdict of ``g.A`` on ``f.A``."""
+        return _pencil_fit(self.f.A, self.g.A, self.tol.tol_dep)
+
+    @property
+    def ratio(self) -> float | None:
+        ratio, _, dependent = self.pencil
+        return ratio if dependent else None
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return -self.ratio * self.f.a + self.g.a
+
+    @cached_property
+    def c_zero(self) -> bool:
+        # c can vanish by cancellation, so measure it against the magnitudes
+        # that entered the subtraction.
+        scale = max(
+            1.0, abs(self.ratio) * float(np.linalg.norm(self.f.a)) + float(np.linalg.norm(self.g.a))
+        )
+        return float(np.linalg.norm(self.c)) <= self.tol.tol_dep * scale
+
+    @cached_property
+    def hyperplane(self) -> HyperplaneReduction:
+        return HyperplaneReduction(self.f, self.c, self.tol)
 
 
 def check_convexity(p: ProblemInstance) -> ConvexityCertificate:
@@ -198,63 +221,54 @@ def check_convexity(p: ProblemInstance) -> ConvexityCertificate:
     orientation conditions, whose success yields a NONCONVEX verdict with a
     constructed witness.
     """
-    tol = p.tolerances
-    f, g = p.f, p.g
-    path: list[dict[str, Any]] = []
+    return _check_convexity(_PairReduction(p))
 
-    fa_zero, ga_zero, a_zero, b_zero, norms = _degenerate_screen(f, g, tol)
-    swapped = bool(fa_zero and not ga_zero)
+
+def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
+    path: list[dict[str, Any]] = []
+    swapped = red.swapped
     record0: dict[str, Any] = {
         "step": 0,
         "check": "degenerate_screen",
-        "norms": norms,
-        "both_matrices_zero": bool(fa_zero and ga_zero),
-        "both_linear_terms_zero": bool(a_zero and b_zero),
+        "norms": red.norms,
+        "both_matrices_zero": bool(red.fa_zero and red.ga_zero),
+        "both_linear_terms_zero": bool(red.a_zero and red.b_zero),
         "swapped": swapped,
     }
-    if fa_zero and ga_zero:
+    if red.fa_zero and red.ga_zero:
         record0["outcome"] = "convex_affine_pair"
         path.append(record0)
         return _convex(path, swapped=False)
-    if a_zero and b_zero:
+    if red.a_zero and red.b_zero:
         record0["outcome"] = "convex_homogeneous_pair"
         path.append(record0)
         return _convex(path, swapped=False)
     record0["outcome"] = "continue"
     path.append(record0)
-    if swapped:
-        f, g = g, f
 
-    projected = float(np.sum(f.A * g.A)) / float(np.sum(f.A * f.A))
-    residual = float(np.linalg.norm(g.A - projected * f.A))
-    ratio = pencil_dependence(f.A, g.A, tol.tol_dep)
+    projected, residual, dependent = red.pencil
     record1 = {
         "step": 1,
         "check": "matrix_dependence",
         "projected_ratio": projected,
         "residual": residual,
-        "dependent": ratio is not None,
-        "outcome": "continue" if ratio is not None else "convex_independent_matrices",
+        "dependent": dependent,
+        "outcome": "continue" if dependent else "convex_independent_matrices",
     }
     path.append(record1)
-    if ratio is None:
+    if not dependent:
         return _convex(path, swapped)
 
-    sd = eigh(f.A)
-    c = -ratio * f.a + g.a
-    c_zero = _combined_gradient_zero(c, ratio, f, g, tol)
-    a_in, _ = range_membership(f.A, f.a, tol.tol_rank, spectral=sd)
-    c_in = False
-    if not c_zero:
-        c_in, _ = range_membership(f.A, c, tol.tol_rank, spectral=sd)
-    passes2 = (not c_zero) and a_in and c_in
+    f, g, ratio, c, hp = red.f, red.g, projected, red.c, red.hyperplane
+    c_in = not red.c_zero and hp.c_in
+    passes2 = hp.a_in and c_in
     record2 = {
         "step": 2,
         "check": "combined_gradient_and_ranges",
         "pencil_ratio": ratio,
         "combined_gradient": c.tolist(),
-        "gradient_zero": c_zero,
-        "linear_term_in_range": bool(a_in),
+        "gradient_zero": red.c_zero,
+        "linear_term_in_range": bool(hp.a_in),
         "gradient_in_range": bool(c_in),
         "outcome": "continue" if passes2 else "convex_gradient_conditions",
     }
@@ -262,22 +276,16 @@ def check_convexity(p: ProblemInstance) -> ConvexityCertificate:
     if not passes2:
         return _convex(path, swapped)
 
-    ine = inertia(sd, tol.tol_eig)
-    V = null_space_basis(c)
-    W = V.T @ f.A @ V
-    W = (W + W.T) / 2.0
-    sd_w = eigh(W)
-    ine_w = inertia(sd_w, tol.tol_psd)
-    pos_ok = ine.n_neg == 1 and ine_w.n_neg == 0
-    neg_ok = ine.n_pos == 1 and ine_w.n_pos == 0
+    pos_ok = not hp.failed_conditions(+1)
+    neg_ok = not hp.failed_conditions(-1)
     record3 = {
         "step": 3,
         "check": "orientation_conditions",
-        "eigenvalues": sd.eigenvalues.tolist(),
-        "inertia": list(ine.as_tuple()),
-        "restricted_eigenvalues": sd_w.eigenvalues.tolist(),
-        "orientation_pos": bool(pos_ok),
-        "orientation_neg": bool(neg_ok),
+        "eigenvalues": hp.sd.eigenvalues.tolist(),
+        "inertia": list(hp.ine.as_tuple()),
+        "restricted_eigenvalues": hp.sd_w.eigenvalues.tolist(),
+        "orientation_pos": pos_ok,
+        "orientation_neg": neg_ok,
         "outcome": "nonconvex" if (pos_ok or neg_ok) else "convex_orientation_conditions",
     }
     path.append(record3)
@@ -285,22 +293,18 @@ def check_convexity(p: ProblemInstance) -> ConvexityCertificate:
         return _convex(path, swapped)
     orientation = +1 if pos_ok else -1
 
-    # Construct the certificate: concrete levels, then witness points.
+    # Construct the certificate: concrete levels, then witness points.  The
+    # level direction is 2c, whose reduction is the one already in hand.
     base_form = combination_affine_form(f, g, ratio)
-    search = exists_separating_affine_levels(f, base_form.c, tol, c0=base_form.c0)
-    if not search.exists or search.orientation != orientation:
-        raise InvalidReport(
-            "internal inconsistency: level search disagrees with orientation conditions"
-        )
-    gamma, alpha = search.gamma, search.alpha
+    gamma, alpha = _separating_levels(hp, base_form.c, base_form.c0, orientation)
     beta = ratio * alpha + gamma
     level_form = AffineForm(base_form.c, base_form.c0 - gamma)
-    report = affine_separates_quadratic(f.add_constant(-alpha), level_form, tol)
+    report = _affine_separates(f.add_constant(-alpha), level_form, hp)
     if not report.separates:
         raise InvalidReport(
             "internal inconsistency: constructed levels failed the separation check"
         )
-    wit = construct_separation_witness(f, level_form, report, tol, alpha=alpha)
+    wit = _separation_witness(hp, level_form, report, alpha)
     range_u = np.array([evaluate(f, wit.u), evaluate(g, wit.u)])
     range_v = np.array([evaluate(f, wit.v), evaluate(g, wit.v)])
     gap = np.array([alpha, beta])
@@ -359,55 +363,43 @@ def check_flores_bazan(p: ProblemInstance) -> FBReport:
     reduces to: nonzero combined gradient, semidefinite restriction to its
     hyperplane, and a unique oriented negative eigenvalue.
     """
-    tol = p.tolerances
-    f, g = p.f, p.g
-    conditions: dict[str, Any] = {}
+    return _check_flores_bazan(_PairReduction(p))
 
-    fa_zero, ga_zero, _, _, norms = _degenerate_screen(f, g, tol)
-    conditions["norms"] = norms
-    if fa_zero and ga_zero:
+
+def _check_flores_bazan(red: _PairReduction) -> FBReport:
+    conditions: dict[str, Any] = {"norms": red.norms}
+    if red.fa_zero and red.ga_zero:
         conditions["matrix_dependence"] = {
             "dependent": True,
             "note": "both quadratic parts vanish; the homogeneous range is the origin",
         }
         return FBReport(VERDICT_CONVEX, False, None, conditions)
-    swapped = bool(fa_zero and not ga_zero)
+    swapped = red.swapped
     conditions["swapped"] = swapped
-    if swapped:
-        f, g = g, f
 
-    ratio = pencil_dependence(f.A, g.A, tol.tol_dep)
+    ratio = red.ratio
     conditions["matrix_dependence"] = {"dependent": ratio is not None, "ratio": ratio}
     if ratio is None:
         # Independent quadratic parts: only d = 0 annihilates the pencil.
         return FBReport(VERDICT_CONVEX, swapped, None, conditions)
 
-    sd = eigh(f.A)
-    ine = inertia(sd, tol.tol_eig)
-    a_in, _ = range_membership(f.A, f.a, tol.tol_rank, spectral=sd)
-    b_in, _ = range_membership(f.A, g.a, tol.tol_rank, spectral=sd)
+    hp = red.hyperplane
+    ine, a_in = hp.ine, hp.a_in
+    b_in, _ = range_membership(red.f.A, red.g.a, red.tol.tol_rank, spectral=hp.sd)
     conditions["linear_terms_in_column_space"] = {"f": bool(a_in), "g": bool(b_in)}
-
-    c = -ratio * f.a + g.a
-    c_zero = _combined_gradient_zero(c, ratio, f, g, tol)
+    c_zero = red.c_zero
     conditions["combined_gradient_nonzero"] = not c_zero
-    ine_w = None
-    if not c_zero:
-        V = null_space_basis(c)
-        W = V.T @ f.A @ V
-        W = (W + W.T) / 2.0
-        ine_w = inertia(eigh(W), tol.tol_psd)
 
     certificate: np.ndarray | None = None
     for label, direction_sign in (("candidate_pos", +1), ("candidate_neg", -1)):
         d = direction_sign * np.array([1.0, ratio])
         attains = (ine.n_neg if direction_sign > 0 else ine.n_pos) >= 1
-        if c_zero or ine_w is None:
+        if c_zero:
             definite = False
         elif direction_sign > 0:
-            definite = ine_w.n_neg == 0 and ine.n_neg == 1
+            definite = hp.ine_w.n_neg == 0 and ine.n_neg == 1
         else:
-            definite = ine_w.n_pos == 0 and ine.n_pos == 1
+            definite = hp.ine_w.n_pos == 0 and ine.n_pos == 1
         qualified = bool(a_in and b_in and attains and definite)
         conditions[label] = {
             "d": d.tolist(),
@@ -481,13 +473,15 @@ def verify_certificate(p: ProblemInstance, cert: ConvexityCertificate) -> dict[s
 
 
 def cross_check(p: ProblemInstance) -> CrossCheckResult:
-    """Run both checkers and compare verdicts.
+    """Run both checkers on one shared reduction and compare verdicts.
 
-    The two criteria are equivalent, so ``agree`` should always be true; a
-    false value comes with both evidence trails in ``diagnostics``.
+    The two criteria are equivalent and read the same spectral facts, so
+    ``agree`` checks the decision logic, not the numerics; a false value
+    comes with both evidence trails in ``diagnostics``.
     """
-    certificate = check_convexity(p)
-    fb = check_flores_bazan(p)
+    red = _PairReduction(p)
+    certificate = _check_convexity(red)
+    fb = _check_flores_bazan(red)
     agree = certificate.verdict == fb.verdict
     diagnostics = None
     if not agree:

@@ -13,7 +13,6 @@ __all__ = [
     "ZeroMatrix",
     "ConvergenceFailure",
     "OutOfRange",
-    "NotReducible",
     "InvalidReport",
     "RootFailure",
     "DegenerateCloud",
@@ -51,14 +50,6 @@ class ConvergenceFailure(QRangeError):
 
 class OutOfRange(QRangeError):
     """A vector lies outside the column space of the matrix it is solved against."""
-
-
-class NotReducible(QRangeError):
-    """A quadratic combination expected to be affine has a residual quadratic part.
-
-    This signals an internal inconsistency (the dependence test accepted a
-    pencil whose combination is not affine), not a property of the input.
-    """
 
 
 class InvalidReport(QRangeError):

@@ -9,8 +9,6 @@ table.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -319,23 +317,9 @@ def evaluate_case(case: CuratedCase) -> list[SuiteRow]:
     return rows
 
 
-def run_curated_suite(threads: int | None = None) -> list[SuiteRow]:
-    """Evaluate every curated case; row order is deterministic.
-
-    ``threads`` defaults to the ``QRANGE_THREADS`` environment variable (or 1).
-    Results are assembled in case order regardless of worker scheduling.
-    """
-    if threads is None:
-        try:
-            threads = max(1, int(os.environ.get("QRANGE_THREADS", "1")))
-        except ValueError:
-            threads = 1
-    if threads <= 1:
-        batches = [evaluate_case(case) for case in _CASES]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(evaluate_case, _CASES))
-    return [row for batch in batches for row in batch]
+def run_curated_suite() -> list[SuiteRow]:
+    """Evaluate every curated case, in case order."""
+    return [row for case in _CASES for row in evaluate_case(case)]
 
 
 def suite_passed(rows: list[SuiteRow]) -> bool:

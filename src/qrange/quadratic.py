@@ -24,8 +24,6 @@ __all__ = [
     "make_quadratic",
     "evaluate",
     "evaluate_many",
-    "homogeneous_part",
-    "linear_combination",
     "compose_affine",
     "problem_from_dict",
     "problem_to_dict",
@@ -103,9 +101,6 @@ class QuadraticFunction:
         s = float(s)
         return QuadraticFunction(_read_only(s * self.A), _read_only(s * self.a), s * self.a0)
 
-    def negated(self) -> "QuadraticFunction":
-        return self.scaled(-1.0)
-
 
 def make_quadratic(M: np.ndarray, a: np.ndarray, a0: float, tol_sym: float = 1e-10) -> QuadraticFunction:
     """Validate and build a :class:`QuadraticFunction`.
@@ -148,23 +143,6 @@ def evaluate_many(q: QuadraticFunction, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != q.n:
         raise DimensionMismatch(f"points have shape {X.shape}, expected (m, {q.n})")
     return np.einsum("ij,jk,ik->i", X, q.A, X) + 2.0 * (X @ q.a) + q.a0
-
-
-def homogeneous_part(q: QuadraticFunction) -> QuadraticFunction:
-    """Drop the linear and constant terms: ``x -> x' A x``."""
-    return QuadraticFunction(q.A, _read_only(np.zeros(q.n)), 0.0)
-
-
-def linear_combination(coeffs: tuple[float, float], f: QuadraticFunction, g: QuadraticFunction) -> QuadraticFunction:
-    """The quadratic ``eta * f + theta * g`` for ``coeffs = (eta, theta)``."""
-    if f.n != g.n:
-        raise DimensionMismatch(f"dimension mismatch: {f.n} vs {g.n}")
-    eta, theta = (float(c) for c in coeffs)
-    return QuadraticFunction(
-        _read_only(eta * f.A + theta * g.A),
-        _read_only(eta * f.a + theta * g.a),
-        eta * f.a0 + theta * g.a0,
-    )
 
 
 def compose_affine(q: QuadraticFunction, T: np.ndarray, t: np.ndarray) -> QuadraticFunction:

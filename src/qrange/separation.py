@@ -25,6 +25,7 @@ reported as non-separating with ``near_degenerate=True``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,13 +33,13 @@ from .errors import (
     DimensionMismatch,
     InvalidInstance,
     InvalidReport,
-    NotReducible,
     RootFailure,
     ZeroVector,
 )
 from .quadratic import QuadraticFunction, ToleranceSet, evaluate
 from .spectral import (
-    PsdClass,
+    Inertia,
+    SpectralData,
     apply_pseudoinverse,
     eigh,
     inertia,
@@ -153,6 +154,79 @@ class LevelPairReport:
     ratio_f_on_g: float | None
 
 
+class HyperplaneReduction:
+    """The spectral facts of a quadratic ``f`` relative to a direction ``c``.
+
+    Holds ``eigh(A)`` and its inertia, the memberships ``a in range(A)`` and
+    ``c in range(A)``, an orthonormal basis ``V`` of ``{c'x = 0}``, the
+    restricted form ``W = V' A V``, ``eigh(W)`` and its inertia.  Each fact is
+    computed on first use and then shared by every consumer, so a caller that
+    stops early pays only for what it read.  No fact depends on ``f``'s
+    constant, and ``c`` and ``2c`` give bit-identical ``V`` and ``W``, so one
+    reduction along the combined gradient ``c`` also serves the level form
+    with direction ``2c``.
+    """
+
+    def __init__(self, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet) -> None:
+        self.f = f
+        self.c = np.asarray(c, dtype=float)
+        self.tol = tol
+
+    @cached_property
+    def sd(self) -> SpectralData:
+        return eigh(self.f.A)
+
+    @cached_property
+    def ine(self) -> Inertia:
+        return inertia(self.sd, self.tol.tol_eig)
+
+    @cached_property
+    def a_in(self) -> bool:
+        return range_membership(self.f.A, self.f.a, self.tol.tol_rank, spectral=self.sd)[0]
+
+    @cached_property
+    def c_in(self) -> bool:
+        return range_membership(self.f.A, self.c, self.tol.tol_rank, spectral=self.sd)[0]
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return null_space_basis(self.c)
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        W = self.V.T @ self.f.A @ self.V
+        return (W + W.T) / 2.0
+
+    @cached_property
+    def sd_w(self) -> SpectralData:
+        return eigh(self.W)
+
+    @cached_property
+    def ine_w(self) -> Inertia:
+        return inertia(self.sd_w, self.tol.tol_psd)
+
+    def failed_conditions(self, sign: int) -> tuple[str, ...]:
+        """The orientation conditions that ``sign * f`` fails; empty means they all hold.
+
+        For ``Abar = sign * A``: exactly one negative eigenvalue, ``a`` and a
+        nonzero ``c`` in the column space of ``A``, and ``Abar`` positive
+        semidefinite on ``{c'x = 0}``.
+        """
+        labels = []
+        if (self.ine.n_neg if sign > 0 else self.ine.n_pos) != 1:
+            labels.append(COND_ONE_NEGATIVE)
+        if not self.a_in:
+            labels.append(COND_LINEAR_IN_RANGE)
+        if float(np.linalg.norm(self.c)) == 0.0:
+            labels.append(COND_GRADIENT_NONZERO)
+            return tuple(labels)
+        if not self.c_in:
+            labels.append(COND_GRADIENT_IN_RANGE)
+        if (self.ine_w.n_neg if sign > 0 else self.ine_w.n_pos) != 0:
+            labels.append(COND_RESTRICTED_SEMIDEFINITE)
+        return tuple(labels)
+
+
 def combination_affine_form(
     f: QuadraticFunction,
     g: QuadraticFunction,
@@ -179,29 +253,26 @@ def affine_separates_quadratic(
     tol = tol or ToleranceSet()
     if h.n != f.n:
         raise DimensionMismatch(f"affine form on dimension {h.n}, quadratic on {f.n}")
+    return _affine_separates(f, h, HyperplaneReduction(f, h.c, tol))
 
-    sd = eigh(f.A)
-    ine = inertia(sd, tol.tol_eig)
-    a_in_range, _ = range_membership(f.A, f.a, tol.tol_rank, spectral=sd)
 
+def _affine_separates(
+    f: QuadraticFunction, h: AffineForm, red: HyperplaneReduction
+) -> SeparationReport:
+    """:func:`affine_separates_quadratic` reading the facts of ``red``.
+
+    ``red`` reduces ``f`` up to a constant shift, along ``h.c`` or ``h.c / 2``.
+    """
+    tol = red.tol
     norm_c = float(np.linalg.norm(h.c))
     if norm_c == 0.0:
-        failed = {
-            +1: _orientation_failures(ine.n_neg, a_in_range) + (COND_GRADIENT_NONZERO,),
-            -1: _orientation_failures(ine.n_pos, a_in_range) + (COND_GRADIENT_NONZERO,),
-        }
+        failed = {sign: red.failed_conditions(sign) for sign in (+1, -1)}
         return SeparationReport(False, None, None, None, None, failed, False)
 
     unit_c = h.c / norm_c
-    c_in_range, _ = range_membership(f.A, h.c, tol.tol_rank, spectral=sd)
     x0 = -(h.c0 / norm_c) * unit_c
-    V = null_space_basis(h.c)
-    W = V.T @ f.A @ V
-    W = (W + W.T) / 2.0
-    sd_w = eigh(W)
-    ine_w = inertia(sd_w, tol.tol_psd)
-
-    w_plus = V.T @ (f.A @ x0 + f.a)
+    W, sd_w = red.W, red.sd_w
+    w_plus = red.V.T @ (f.A @ x0 + f.a)
     w_in_range, _ = range_membership(W, w_plus, tol.tol_rank, spectral=sd_w)
     f_x0 = evaluate(f, x0)
     threshold = tol.tol_psd * max(1.0, abs(f_x0))
@@ -216,14 +287,7 @@ def affine_separates_quadratic(
     near_degenerate = False
     winner: tuple[int, float] | None = None
     for sign in (+1, -1):
-        labels = list(_orientation_failures(ine.n_neg if sign > 0 else ine.n_pos, a_in_range))
-        if not c_in_range:
-            labels.append(COND_GRADIENT_IN_RANGE)
-        semidefinite_ok = (
-            ine_w.n_neg == 0 if sign > 0 else ine_w.n_pos == 0
-        )  # PSD (or zero) for +1, NSD (or zero) for -1
-        if not semidefinite_ok:
-            labels.append(COND_RESTRICTED_SEMIDEFINITE)
+        labels = list(red.failed_conditions(sign))
         if not w_in_range:
             labels.append(COND_PROJECTED_IN_RANGE)
             margin = None
@@ -251,15 +315,6 @@ def affine_separates_quadratic(
     )
 
 
-def _orientation_failures(n_neg_oriented: int, a_in_range: bool) -> tuple[str, ...]:
-    labels = []
-    if n_neg_oriented != 1:
-        labels.append(COND_ONE_NEGATIVE)
-    if not a_in_range:
-        labels.append(COND_LINEAR_IN_RANGE)
-    return tuple(labels)
-
-
 def exists_separating_affine_levels(
     f: QuadraticFunction,
     c: np.ndarray,
@@ -285,34 +340,35 @@ def exists_separating_affine_levels(
     c = np.asarray(c, dtype=float)
     if c.shape != (f.n,):
         raise DimensionMismatch(f"direction has shape {c.shape}, expected ({f.n},)")
-    norm_c = float(np.linalg.norm(c))
-    if norm_c == 0.0:
+    if float(np.linalg.norm(c)) == 0.0:
         raise ZeroVector("level search requires a nonzero direction")
-
-    sd = eigh(f.A)
-    ine = inertia(sd, tol.tol_eig)
-    a_in_range, _ = range_membership(f.A, f.a, tol.tol_rank, spectral=sd)
-    c_in_range, _ = range_membership(f.A, c, tol.tol_rank, spectral=sd)
-    V = null_space_basis(c)
-    W = V.T @ f.A @ V
-    W = (W + W.T) / 2.0
-    ine_w = inertia(eigh(W), tol.tol_psd)
-
+    red = HyperplaneReduction(f, c, tol)
     for sign in (+1, -1):
-        n_neg_oriented = ine.n_neg if sign > 0 else ine.n_pos
-        semidefinite_ok = ine_w.n_neg == 0 if sign > 0 else ine_w.n_pos == 0
-        if not (n_neg_oriented == 1 and a_in_range and c_in_range and semidefinite_ok):
-            continue
-        A_bar = sign * f.A
-        a_bar = sign * f.a
-        u0, *_ = np.linalg.lstsq(V.T @ A_bar, V.T @ a_bar, rcond=None)
-        gamma = float(c0 - c @ u0)
-        foot = -((c0 - gamma) / norm_c) * (c / norm_c)
-        w_bar = V.T @ (A_bar @ foot + a_bar)
-        quad_term = apply_pseudoinverse(sign * W, w_bar, tol.tol_rank)
-        alpha = evaluate(f, foot) - sign * (quad_term + 1.0)
-        return LevelSearchResult(True, sign, gamma, alpha)
+        if not red.failed_conditions(sign):
+            return LevelSearchResult(True, sign, *_separating_levels(red, c, c0, sign))
     return LevelSearchResult(False, None, None, None)
+
+
+def _separating_levels(
+    red: HyperplaneReduction, c: np.ndarray, c0: float, sign: int
+) -> tuple[float, float]:
+    """Levels ``(gamma, alpha)`` for an orientation ``sign`` that passes ``red``'s conditions.
+
+    ``c`` is the direction used for the levels; ``red`` reduces ``f`` along
+    ``c`` or ``c / 2``.
+    """
+    f, V = red.f, red.V
+    norm_c = float(np.linalg.norm(c))
+    A_bar = sign * f.A
+    a_bar = sign * f.a
+    u0, *_ = np.linalg.lstsq(V.T @ A_bar, V.T @ a_bar, rcond=None)
+    gamma = float(c0 - c @ u0)
+    foot = -((c0 - gamma) / norm_c) * (c / norm_c)
+    w_bar = V.T @ (A_bar @ foot + a_bar)
+    sd_w = red.sd_w if sign > 0 else red.sd_w.negated()
+    quad_term = apply_pseudoinverse(sign * red.W, w_bar, red.tol.tol_rank, spectral=sd_w)
+    alpha = evaluate(f, foot) - sign * (quad_term + 1.0)
+    return gamma, alpha
 
 
 def _is_negligible_matrix(M: np.ndarray, tol_dep: float, scale: float) -> bool:
@@ -327,20 +383,13 @@ def _one_direction(
     tol: ToleranceSet,
 ) -> tuple[bool, SeparationReport | None, float | None]:
     """Does ``{g = beta}`` separate ``{f = alpha}``?"""
-    norm_fa = float(np.linalg.norm(f.A))
-    norm_ga = float(np.linalg.norm(g.A))
-    scale = max(norm_fa, norm_ga)
+    scale = max(float(np.linalg.norm(f.A)), float(np.linalg.norm(g.A)))
     if _is_negligible_matrix(f.A, tol.tol_dep, scale):
         # An affine function's level sets are connected; nothing to separate.
         return False, None, None
     ratio = pencil_dependence(f.A, g.A, tol.tol_dep)
     if ratio is None:
         return False, None, None
-    residual = float(np.linalg.norm(g.A - ratio * f.A))
-    if residual > tol.tol_dep * max(norm_fa, norm_ga):
-        raise NotReducible(
-            f"combination expected affine but quadratic residual is {residual:.3e}"
-        )
     h = combination_affine_form(f, g, ratio, alpha, beta)
     report = affine_separates_quadratic(f.add_constant(-alpha), h, tol)
     return report.separates, report, ratio
@@ -386,11 +435,19 @@ def construct_separation_witness(
     of the hyperplane.
     """
     tol = tol or ToleranceSet()
+    return _separation_witness(HyperplaneReduction(f, h.c, tol), h, report, alpha)
+
+
+def _separation_witness(
+    red: HyperplaneReduction, h: AffineForm, report: SeparationReport, alpha: float
+) -> SeparationWitness:
+    """:func:`construct_separation_witness` reading ``eigh(A)`` from ``red``."""
+    f, tol = red.f, red.tol
     if not report.separates or report.orientation is None or report.foot_point is None:
         raise InvalidReport("witness construction requires a successful separation report")
     sign = report.orientation
     x0 = report.foot_point
-    sd = eigh(sign * f.A)
+    sd = red.sd if sign > 0 else red.sd.negated()
     lead = float(sd.eigenvalues[0])
     if lead >= 0.0:
         raise InvalidReport("oriented matrix has no negative-curvature direction")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,12 +22,10 @@ from .errors import ConvergenceFailure, DimensionMismatch, OutOfRange, ZeroMatri
 __all__ = [
     "SpectralData",
     "Inertia",
-    "PsdClass",
     "eigh",
     "inertia",
     "null_space_basis",
     "range_membership",
-    "psd_check",
     "pencil_dependence",
     "apply_pseudoinverse",
 ]
@@ -47,6 +44,14 @@ class SpectralData:
     eigenvectors: np.ndarray
     spectral_norm: float
 
+    def negated(self) -> "SpectralData":
+        """The decomposition of ``-M``: eigenvalues negated, eigenpairs reversed, so still ascending."""
+        vals = np.ascontiguousarray(-self.eigenvalues[::-1])
+        vecs = np.ascontiguousarray(self.eigenvectors[:, ::-1])
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return SpectralData(vals, vecs, self.spectral_norm)
+
 
 @dataclass(frozen=True)
 class Inertia:
@@ -56,15 +61,6 @@ class Inertia:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_neg, self.n_zero, self.n_pos)
-
-
-class PsdClass(str, Enum):
-    """Semidefiniteness classification of a symmetric matrix."""
-
-    PSD = "PSD"
-    NSD = "NSD"
-    INDEFINITE = "INDEFINITE"
-    ZERO = "ZERO"
 
 
 def _matrix_digest(M: np.ndarray) -> str:
@@ -152,22 +148,6 @@ def range_membership(
     return True, Q @ (coords / vals) if vals.size else np.zeros_like(v)
 
 
-def psd_check(M: np.ndarray, tol_psd: float) -> PsdClass:
-    """Classify a symmetric matrix as PSD / NSD / INDEFINITE / ZERO.
-
-    Eigenvalues within ``tol_psd * max(1, spectral_norm)`` of zero count as
-    zero; ``ZERO`` means every eigenvalue does (vacuously for 0x0 input).
-    """
-    ine = inertia(eigh(M), tol_psd)
-    if ine.n_neg == 0 and ine.n_pos == 0:
-        return PsdClass.ZERO
-    if ine.n_neg == 0:
-        return PsdClass.PSD
-    if ine.n_pos == 0:
-        return PsdClass.NSD
-    return PsdClass.INDEFINITE
-
-
 def pencil_dependence(A: np.ndarray, B: np.ndarray, tol_dep: float) -> float | None:
     """The ratio ``r`` with ``B = r A``, or ``None`` if no such ratio exists.
 
@@ -175,6 +155,12 @@ def pencil_dependence(A: np.ndarray, B: np.ndarray, tol_dep: float) -> float | N
     accepted when ``||B - r A||_F <= tol_dep * max(||A||_F, ||B||_F)``.
     ``A`` must be nonzero (:class:`ZeroMatrix` otherwise).
     """
+    ratio, _, dependent = _pencil_fit(A, B, tol_dep)
+    return ratio if dependent else None
+
+
+def _pencil_fit(A: np.ndarray, B: np.ndarray, tol_dep: float) -> tuple[float, float, bool]:
+    """Projected ratio ``<A, B> / <A, A>``, residual ``||B - r A||_F``, and the dependence verdict."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
@@ -185,9 +171,7 @@ def pencil_dependence(A: np.ndarray, B: np.ndarray, tol_dep: float) -> float | N
     ratio = float(np.sum(A * B)) / denom
     residual = float(np.linalg.norm(B - ratio * A))
     scale = max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))
-    if residual <= tol_dep * scale:
-        return ratio
-    return None
+    return ratio, residual, residual <= tol_dep * scale
 
 
 def apply_pseudoinverse(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,12 @@ from qrange import (
     check_convexity,
     check_flores_bazan,
     cross_check,
+    curated_cases,
     evaluate,
     make_quadratic,
     verify_certificate,
 )
+from qrange import spectral
 from conftest import differential_batch, random_instance, transformed_instance
 
 
@@ -276,3 +280,39 @@ class TestCrossCheck:
         assert result.diagnostics is None
         doc = result.to_jsonable()
         assert doc["agree"] is True
+
+
+NONCONVEX_CASES = [c for c in curated_cases() if c.expected.verdict == VERDICT_NONCONVEX]
+
+
+class TestSharedReduction:
+    """Both checkers read one reduction, and it computes only what is read."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        # Callers bind eigh by name, so wrap it in every namespace that holds it.
+        calls = []
+        original = spectral.eigh
+
+        def counting(M):
+            calls.append(np.shape(M))
+            return original(M)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qrange" and vars(module).get("eigh") is original:
+                monkeypatch.setattr(module, "eigh", counting)
+        return calls
+
+    @pytest.mark.parametrize("checker", [check_convexity, cross_check], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
+    def test_at_most_two_eigensolves_per_nonconvex_case(self, eigh_calls, checker, case):
+        result = checker(case.instance)
+        assert getattr(result, "certificate", result).verdict == VERDICT_NONCONVEX
+        assert len(eigh_calls) <= 2, eigh_calls
+
+    @pytest.mark.parametrize("checker", [check_convexity, cross_check], ids=lambda fn: fn.__name__)
+    def test_independent_pencil_needs_no_eigensolve(self, eigh_calls, checker):
+        case = next(c for c in curated_cases() if c.name == "bowl_vs_sheet_3d")
+        assert case.expected.final_step == 1
+        checker(case.instance)
+        assert eigh_calls == []

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -78,4 +77,3 @@ def _record() -> None:
 
 if __name__ == "__main__":
     _record()
-    sys.exit(0)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -82,17 +81,6 @@ class TestSuite:
         rows = evaluate_case(get_case("saddle_pair_dependent"))
         assert all(r.passed for r in rows)
         assert any(r.check == "witness_valid" for r in rows)
-
-    def test_thread_count_env_respected(self):
-        os.environ["QRANGE_THREADS"] = "1"
-        try:
-            serial = run_curated_suite()
-        finally:
-            del os.environ["QRANGE_THREADS"]
-        parallel = run_curated_suite(threads=4)
-        assert [(r.case, r.check, r.passed) for r in serial] == [
-            (r.case, r.check, r.passed) for r in parallel
-        ]
 
     def test_verdict_mix(self):
         # the suite must exercise both verdicts

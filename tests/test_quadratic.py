@@ -17,8 +17,6 @@ from qrange import (
     compose_affine,
     evaluate,
     evaluate_many,
-    homogeneous_part,
-    linear_combination,
     load_problem,
     make_quadratic,
     problem_from_dict,
@@ -96,22 +94,6 @@ def _rand_sym(rng, n):
 
 
 class TestAlgebra:
-    def test_homogeneous_part_drops_linear_and_constant(self):
-        f = make_quadratic([[2.0, 0.0], [0.0, 3.0]], [1.0, 1.0], 5.0)
-        h = homogeneous_part(f)
-        assert np.array_equal(h.A, f.A)
-        assert np.array_equal(h.a, [0.0, 0.0])
-        assert h.a0 == 0.0
-
-    def test_linear_combination_pointwise(self):
-        rng = np.random.default_rng(3)
-        f = make_quadratic(_rand_sym(rng, 2), rng.uniform(-1, 1, 2), 0.5)
-        g = make_quadratic(_rand_sym(rng, 2), rng.uniform(-1, 1, 2), -0.25)
-        combo = linear_combination((-2.5, 1.5), f, g)
-        for _ in range(10):
-            x = rng.uniform(-2, 2, 2)
-            assert evaluate(combo, x) == pytest.approx(-2.5 * evaluate(f, x) + 1.5 * evaluate(g, x), abs=1e-12)
-
     def test_compose_affine_pointwise(self):
         rng = np.random.default_rng(11)
         f = make_quadratic(_rand_sym(rng, 3), rng.uniform(-1, 1, 3), 1.2)

@@ -8,7 +8,6 @@ import pytest
 from qrange import (
     Inertia,
     OutOfRange,
-    PsdClass,
     ZeroMatrix,
     ZeroVector,
     apply_pseudoinverse,
@@ -16,13 +15,11 @@ from qrange import (
     inertia,
     null_space_basis,
     pencil_dependence,
-    psd_check,
     range_membership,
 )
 
 TOL_EIG = 1e-9
 TOL_RANK = 1e-9
-TOL_PSD = 1e-9
 TOL_DEP = 1e-9
 
 
@@ -61,28 +58,6 @@ class TestInertia:
 
     def test_empty(self):
         assert inertia(eigh(np.zeros((0, 0))), TOL_EIG) == Inertia(0, 0, 0)
-
-
-class TestPsdCheck:
-    @pytest.mark.parametrize(
-        "diag, expected",
-        [
-            ([1.0, 2.0], PsdClass.PSD),
-            ([0.0, 2.0], PsdClass.PSD),
-            ([-1.0, -3.0], PsdClass.NSD),
-            ([0.0, -2.0], PsdClass.NSD),
-            ([-1.0, 1.0], PsdClass.INDEFINITE),
-            ([0.0, 0.0], PsdClass.ZERO),
-        ],
-    )
-    def test_classification(self, diag, expected):
-        assert psd_check(np.diag(diag), TOL_PSD) == expected
-
-    def test_empty_is_zero(self):
-        assert psd_check(np.zeros((0, 0)), TOL_PSD) == PsdClass.ZERO
-
-    def test_tiny_negative_still_psd(self):
-        assert psd_check(np.diag([1.0, -1e-12]), TOL_PSD) == PsdClass.PSD
 
 
 class TestNullSpaceBasis:
