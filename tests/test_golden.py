@@ -3,6 +3,9 @@
 Every invocation below runs through :func:`qrange.cli.main` and must
 reproduce the recorded stdout byte for byte, with the recorded exit code.
 This turns "same behaviour" across refactors into a byte comparison.
+``sample`` writes its CSVs into a fresh directory; its golden holds stdout
+with the output paths made relative to that directory, followed by the
+sha256 of each written CSV in ``sha256sum`` format.
 
 The bytes are pinned to the environment they were recorded in: NumPy 2.4.6
 with scipy-openblas 0.3.31 (LAPACK eigenvectors and BLAS summation order can
@@ -15,8 +18,10 @@ the files with::
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -27,6 +32,8 @@ from qrange.instances import curated_cases
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+SAMPLE_CASE = "saddle_with_line_split"
+OUT_DIR = "{out}"
 
 
 def _invocations() -> dict[str, list[str]]:
@@ -40,6 +47,12 @@ def _invocations() -> dict[str, list[str]]:
                 "separate", "--input", path, "--alpha", repr(lc.f_level), "--beta", repr(lc.g_level)
             ]
     runs["reproduce-json"] = ["reproduce", "--format", "json"]
+    path = str(REPO_ROOT / "instances" / f"{SAMPLE_CASE}.json")
+    for mode in ("uniform", "grid"):
+        runs[f"sample-{mode}-{SAMPLE_CASE}"] = [
+            "sample", "--input", path, "--mode", mode, "--samples", "2000",
+            "--resolution", "40", "--output", f"{OUT_DIR}/cloud.csv",
+        ]
     return runs
 
 
@@ -47,10 +60,15 @@ INVOCATIONS = _invocations()
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = tmp + "/"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([arg.replace(OUT_DIR + "/", prefix) for arg in argv])
+        text = out.getvalue().replace(prefix, "")
+        for csv in sorted(Path(tmp).iterdir()):
+            text += f"{hashlib.sha256(csv.read_bytes()).hexdigest()}  {csv.name}\n"
+    return code, text
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
