@@ -92,8 +92,6 @@ def _build_parser() -> _Parser:
     p_sample.add_argument("--resolution", type=int, default=200, help="raster resolution for hole detection")
     p_sample.add_argument("--coverage-radius", type=float, default=None, help="uncovered distance (default: 2 cell diagonals)")
     p_sample.add_argument("--min-cluster", type=int, default=4, help="smallest hole-cell cluster that counts")
-    # The CSV base path is the command's main product.
-    p_sample.set_defaults(output_required=True)
 
     add_common(sub.add_parser("reproduce", help="re-derive the curated suite expectations"), needs_input=False)
     return parser
@@ -145,17 +143,23 @@ def _scalar_text(value: Any) -> str:
     return str(value)
 
 
-def _emit(doc: dict[str, Any], args: argparse.Namespace, default_format: str = "json") -> None:
-    fmt = args.format or default_format
+def _render(doc: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        text = canonical_json(doc)
-    else:
-        text = "\n".join(_render_text(doc)) + "\n"
-    if getattr(args, "output", None) and not getattr(args, "output_required", False):
-        with open(args.output, "w", encoding="utf-8") as fh:
+        return canonical_json(doc)
+    return "\n".join(_render_text(doc)) + "\n"
+
+
+def _write(text: str, destination: str | None) -> None:
+    """Write a command's report to ``destination``, or to stdout when there is none."""
+    if destination:
+        with open(destination, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict[str, Any], args: argparse.Namespace) -> None:
+    _write(_render(doc, args.format or "json"), args.output)
 
 
 def _envelope(command: str, tolerances: dict[str, float], result: Any) -> dict[str, Any]:
@@ -248,21 +252,21 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "holes": hole_doc,
         "files": written,
     }
-    _emit(_envelope("sample", p.tolerances.to_dict(), result), args)
+    # --output is the CSV base path, so the report goes to stdout.
+    _write(_render(_envelope("sample", p.tolerances.to_dict(), result), args.format or "json"), None)
     return EXIT_OK
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     rows = run_curated_suite()
     passed = suite_passed(rows)
-    fmt = args.format or "text"
-    if fmt == "json":
+    if args.format == "json":
         doc = _envelope(
             "reproduce",
             ToleranceSet().to_dict(),
             {"passed": passed, "rows": [row.to_jsonable() for row in rows]},
         )
-        _emit(doc, args, default_format="json")
+        text = _render(doc, "json")
     else:
         case_width = max(len(r.case) for r in rows)
         check_width = max(len(r.check) for r in rows)
@@ -272,11 +276,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             lines.append(f"{r.case:<{case_width}}  {r.check:<{check_width}}  {status:<6}  {r.detail}")
         lines.append(f"{'ALL PASS' if passed else 'FAILURES PRESENT'} ({sum(r.passed for r in rows)}/{len(rows)})")
         text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    _write(text, args.output)
     return EXIT_OK if passed else EXIT_INTERNAL
 
 

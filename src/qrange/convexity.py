@@ -25,7 +25,6 @@ independent numerical second opinion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -34,13 +33,12 @@ from .errors import InvalidReport
 from .quadratic import ProblemInstance, evaluate
 from .separation import (
     AffineForm,
-    HyperplaneReduction,
     _affine_separates,
+    _PairReduction,
     _separating_levels,
     _separation_witness,
     combination_affine_form,
 )
-from .spectral import _pencil_fit, range_membership
 
 __all__ = [
     "VERDICT_CONVEX",
@@ -154,63 +152,6 @@ class CrossCheckResult:
         }
 
 
-class _PairReduction:
-    """The pair ``(f, g)`` reduced once, shared by both checkers.
-
-    Construction runs the degenerate screen and the role swap; the pencil
-    fit, the combined gradient ``c = -ratio*f.a + g.a``, its zero test and the
-    :class:`HyperplaneReduction` of ``f`` along ``c`` are computed on first
-    use.  After the swap, ``f`` and ``g`` are the analysed pair.
-    """
-
-    def __init__(self, p: ProblemInstance) -> None:
-        self.tol = tol = p.tolerances
-        self.norms = norms = {
-            "f_matrix": float(np.linalg.norm(p.f.A)),
-            "g_matrix": float(np.linalg.norm(p.g.A)),
-            "f_linear": float(np.linalg.norm(p.f.a)),
-            "g_linear": float(np.linalg.norm(p.g.a)),
-        }
-        # Each object is "zero" relative to the larger of 1 and the pair's
-        # shared scale, so a pair like (1e-14 * M, M) screens the tiny member
-        # as zero.
-        mat_scale = max(1.0, norms["f_matrix"], norms["g_matrix"])
-        vec_scale = max(1.0, norms["f_linear"], norms["g_linear"])
-        self.fa_zero = norms["f_matrix"] <= tol.tol_dep * mat_scale
-        self.ga_zero = norms["g_matrix"] <= tol.tol_dep * mat_scale
-        self.a_zero = norms["f_linear"] <= tol.tol_dep * vec_scale
-        self.b_zero = norms["g_linear"] <= tol.tol_dep * vec_scale
-        self.swapped = bool(self.fa_zero and not self.ga_zero)
-        self.f, self.g = (p.g, p.f) if self.swapped else (p.f, p.g)
-
-    @cached_property
-    def pencil(self) -> tuple[float, float, bool]:
-        """Projected ratio, residual and dependence verdict of ``g.A`` on ``f.A``."""
-        return _pencil_fit(self.f.A, self.g.A, self.tol.tol_dep)
-
-    @property
-    def ratio(self) -> float | None:
-        ratio, _, dependent = self.pencil
-        return ratio if dependent else None
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        return -self.ratio * self.f.a + self.g.a
-
-    @cached_property
-    def c_zero(self) -> bool:
-        # c can vanish by cancellation, so measure it against the magnitudes
-        # that entered the subtraction.
-        scale = max(
-            1.0, abs(self.ratio) * float(np.linalg.norm(self.f.a)) + float(np.linalg.norm(self.g.a))
-        )
-        return float(np.linalg.norm(self.c)) <= self.tol.tol_dep * scale
-
-    @cached_property
-    def hyperplane(self) -> HyperplaneReduction:
-        return HyperplaneReduction(self.f, self.c, self.tol)
-
-
 def check_convexity(p: ProblemInstance) -> ConvexityCertificate:
     """Decide convexity of the joint range of ``(p.f, p.g)``.
 
@@ -221,7 +162,7 @@ def check_convexity(p: ProblemInstance) -> ConvexityCertificate:
     orientation conditions, whose success yields a NONCONVEX verdict with a
     constructed witness.
     """
-    return _check_convexity(_PairReduction(p))
+    return _check_convexity(_PairReduction(p.f, p.g, p.tolerances))
 
 
 def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
@@ -363,7 +304,7 @@ def check_flores_bazan(p: ProblemInstance) -> FBReport:
     reduces to: nonzero combined gradient, semidefinite restriction to its
     hyperplane, and a unique oriented negative eigenvalue.
     """
-    return _check_flores_bazan(_PairReduction(p))
+    return _check_flores_bazan(_PairReduction(p.f, p.g, p.tolerances))
 
 
 def _check_flores_bazan(red: _PairReduction) -> FBReport:
@@ -384,8 +325,7 @@ def _check_flores_bazan(red: _PairReduction) -> FBReport:
         return FBReport(VERDICT_CONVEX, swapped, None, conditions)
 
     hp = red.hyperplane
-    ine, a_in = hp.ine, hp.a_in
-    b_in, _ = range_membership(red.f.A, red.g.a, red.tol.tol_rank, spectral=hp.sd)
+    ine, a_in, b_in = hp.ine, hp.a_in, red.b_in
     conditions["linear_terms_in_column_space"] = {"f": bool(a_in), "g": bool(b_in)}
     c_zero = red.c_zero
     conditions["combined_gradient_nonzero"] = not c_zero
@@ -479,7 +419,7 @@ def cross_check(p: ProblemInstance) -> CrossCheckResult:
     ``agree`` checks the decision logic, not the numerics; a false value
     comes with both evidence trails in ``diagnostics``.
     """
-    red = _PairReduction(p)
+    red = _PairReduction(p.f, p.g, p.tolerances)
     certificate = _check_convexity(red)
     fb = _check_flores_bazan(red)
     agree = certificate.verdict == fb.verdict

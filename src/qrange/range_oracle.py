@@ -33,9 +33,7 @@ __all__ = [
 ]
 
 # Points are generated in fixed-size blocks, each from its own
-# counter-based generator keyed by (seed, block index).  Workers can
-# therefore produce disjoint block ranges independently and the assembled
-# stream is identical to sequential generation.
+# counter-based generator keyed by (seed, block index).
 _BLOCK = 4096
 
 
@@ -88,38 +86,24 @@ def domain_points(
     count: int,
     seed: int,
     mode: SampleMode = SampleMode.UNIFORM,
-    start: int = 0,
-    stop: int | None = None,
 ) -> np.ndarray:
-    """Domain points ``start:stop`` of the deterministic stream for these parameters.
-
-    Any slice of the stream can be regenerated independently; concatenating
-    slices reproduces the full sample exactly.
-    """
+    """The ``count`` deterministic domain points for these parameters."""
     if count < 1:
         raise InvalidInstance(f"sample count must be positive, got {count}")
     if not (box > 0.0 and math.isfinite(box)):
         raise InvalidInstance(f"box half-width must be positive and finite, got {box}")
-    stop = count if stop is None else stop
-    if not (0 <= start <= stop <= count):
-        raise InvalidInstance(f"bad slice [{start}, {stop}) for count {count}")
-    if stop == start:
-        return np.empty((0, n))
 
     if mode == SampleMode.UNIFORM:
-        first, last = start // _BLOCK, (stop - 1) // _BLOCK
-        parts = []
-        for block in range(first, last + 1):
-            lo = max(start, block * _BLOCK) - block * _BLOCK
-            hi = min(stop, (block + 1) * _BLOCK) - block * _BLOCK
-            rows = min(_BLOCK, count - block * _BLOCK)
-            parts.append(_uniform_block(seed, block, n, box, rows)[lo:hi])
+        parts = [
+            _uniform_block(seed, block, n, box, min(_BLOCK, count - block * _BLOCK))
+            for block in range(-(-count // _BLOCK))
+        ]
         return np.concatenate(parts, axis=0)
 
     side = _grid_side(count, n)
     axis = np.linspace(-box, box, side) if side > 1 else np.array([0.0])
-    idx = np.arange(start, stop)
-    coords = np.empty((stop - start, n))
+    idx = np.arange(count)
+    coords = np.empty((count, n))
     for k in range(n):
         coords[:, k] = axis[(idx // side ** (n - 1 - k)) % side]
     return coords

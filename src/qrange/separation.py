@@ -40,11 +40,11 @@ from .quadratic import QuadraticFunction, ToleranceSet, evaluate
 from .spectral import (
     Inertia,
     SpectralData,
+    _pencil_fit,
     apply_pseudoinverse,
     eigh,
     inertia,
     null_space_basis,
-    pencil_dependence,
     range_membership,
 )
 
@@ -115,7 +115,6 @@ class SeparationReport:
     separates: bool
     orientation: int | None
     foot_point: np.ndarray | None
-    projected_gradient: np.ndarray | None
     margin: float | None
     failed_conditions: dict[int, tuple[str, ...]]
     near_degenerate: bool
@@ -148,8 +147,6 @@ class LevelPairReport:
 
     g_separates_f: bool
     f_separates_g: bool
-    report_g_on_f: SeparationReport | None
-    report_f_on_g: SeparationReport | None
     ratio_g_on_f: float | None
     ratio_f_on_g: float | None
 
@@ -227,6 +224,69 @@ class HyperplaneReduction:
         return tuple(labels)
 
 
+class _PairReduction:
+    """The pair ``(f, g)`` reduced once, shared by every consumer.
+
+    Construction runs the degenerate screen and the role swap; the pencil
+    fit, the combined gradient ``c = -ratio*f.a + g.a``, its zero test, the
+    :class:`HyperplaneReduction` of ``f`` along ``c`` and the membership
+    ``g.a in range(f.A)`` are computed on first use.  After the swap, ``f``
+    and ``g`` are the analysed pair.
+    """
+
+    def __init__(self, f: QuadraticFunction, g: QuadraticFunction, tol: ToleranceSet) -> None:
+        self.tol = tol
+        self.norms = norms = {
+            "f_matrix": float(np.linalg.norm(f.A)),
+            "g_matrix": float(np.linalg.norm(g.A)),
+            "f_linear": float(np.linalg.norm(f.a)),
+            "g_linear": float(np.linalg.norm(g.a)),
+        }
+        # Each object is "zero" relative to the larger of 1 and the pair's
+        # shared scale, so a pair like (1e-14 * M, M) screens the tiny member
+        # as zero.
+        mat_scale = max(1.0, norms["f_matrix"], norms["g_matrix"])
+        vec_scale = max(1.0, norms["f_linear"], norms["g_linear"])
+        self.fa_zero = norms["f_matrix"] <= tol.tol_dep * mat_scale
+        self.ga_zero = norms["g_matrix"] <= tol.tol_dep * mat_scale
+        self.a_zero = norms["f_linear"] <= tol.tol_dep * vec_scale
+        self.b_zero = norms["g_linear"] <= tol.tol_dep * vec_scale
+        self.swapped = bool(self.fa_zero and not self.ga_zero)
+        self.f, self.g = (g, f) if self.swapped else (f, g)
+
+    @cached_property
+    def pencil(self) -> tuple[float, float, bool]:
+        """Projected ratio, residual and dependence verdict of ``g.A`` on ``f.A``."""
+        return _pencil_fit(self.f.A, self.g.A, self.tol.tol_dep)
+
+    @property
+    def ratio(self) -> float | None:
+        ratio, _, dependent = self.pencil
+        return ratio if dependent else None
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return -self.ratio * self.f.a + self.g.a
+
+    @cached_property
+    def c_zero(self) -> bool:
+        # c can vanish by cancellation, so measure it against the magnitudes
+        # that entered the subtraction.
+        scale = max(
+            1.0, abs(self.ratio) * float(np.linalg.norm(self.f.a)) + float(np.linalg.norm(self.g.a))
+        )
+        return float(np.linalg.norm(self.c)) <= self.tol.tol_dep * scale
+
+    @cached_property
+    def hyperplane(self) -> HyperplaneReduction:
+        return HyperplaneReduction(self.f, self.c, self.tol)
+
+    @cached_property
+    def b_in(self) -> bool:
+        sd = self.hyperplane.sd
+        return range_membership(self.f.A, self.g.a, self.tol.tol_rank, spectral=sd)[0]
+
+
 def combination_affine_form(
     f: QuadraticFunction,
     g: QuadraticFunction,
@@ -267,7 +327,7 @@ def _affine_separates(
     norm_c = float(np.linalg.norm(h.c))
     if norm_c == 0.0:
         failed = {sign: red.failed_conditions(sign) for sign in (+1, -1)}
-        return SeparationReport(False, None, None, None, None, failed, False)
+        return SeparationReport(False, None, None, None, failed, False)
 
     unit_c = h.c / norm_c
     x0 = -(h.c0 / norm_c) * unit_c
@@ -302,13 +362,12 @@ def _affine_separates(
             winner = (sign, margin)
 
     if winner is None:
-        return SeparationReport(False, None, None, None, None, failed, near_degenerate)
+        return SeparationReport(False, None, None, None, failed, near_degenerate)
     sign, margin = winner
     return SeparationReport(
         separates=True,
         orientation=sign,
         foot_point=x0,
-        projected_gradient=sign * w_plus,
         margin=margin,
         failed_conditions=failed,
         near_degenerate=False,
@@ -332,9 +391,12 @@ def exists_separating_affine_levels(
       ``gamma = c0 - c'u0``, which makes the projected gradient at the foot
       point of ``{c'x + c0 = gamma}`` land inside the restricted form's column
       space by construction;
-    * push ``alpha`` to ``f(foot) - s*(pinv_term + 1)``, which makes the
-      strictness margin exactly 1 for orientation ``s`` (small levels for the
-      ``+1`` orientation, large ones for ``-1``).
+    * push ``alpha`` to ``f(foot) - s*(pinv_term + m)``, which makes the
+      strictness margin ``m`` for orientation ``s`` (small levels for the
+      ``+1`` orientation, large ones for ``-1``).  ``m`` is 1 unless
+      ``|pinv_term|`` is large: then it is
+      ``2*tol_psd*|pinv_term| / (1 - tol_psd)``, twice the smallest margin
+      that clears the relative threshold of the separation check.
     """
     tol = tol or ToleranceSet()
     c = np.asarray(c, dtype=float)
@@ -367,12 +429,12 @@ def _separating_levels(
     w_bar = V.T @ (A_bar @ foot + a_bar)
     sd_w = red.sd_w if sign > 0 else red.sd_w.negated()
     quad_term = apply_pseudoinverse(sign * red.W, w_bar, red.tol.tol_rank, spectral=sd_w)
-    alpha = evaluate(f, foot) - sign * (quad_term + 1.0)
+    # _affine_separates needs margin > tol_psd * max(1, |quad_term + margin|);
+    # twice the smallest such margin leaves room for rounding in alpha.
+    tol_psd = red.tol.tol_psd
+    margin = max(1.0, 2.0 * tol_psd * abs(quad_term) / (1.0 - tol_psd))
+    alpha = evaluate(f, foot) - sign * (quad_term + margin)
     return gamma, alpha
-
-
-def _is_negligible_matrix(M: np.ndarray, tol_dep: float, scale: float) -> bool:
-    return float(np.linalg.norm(M)) <= tol_dep * max(1.0, scale)
 
 
 def _one_direction(
@@ -381,18 +443,15 @@ def _one_direction(
     g: QuadraticFunction,
     beta: float,
     tol: ToleranceSet,
-) -> tuple[bool, SeparationReport | None, float | None]:
-    """Does ``{g = beta}`` separate ``{f = alpha}``?"""
-    scale = max(float(np.linalg.norm(f.A)), float(np.linalg.norm(g.A)))
-    if _is_negligible_matrix(f.A, tol.tol_dep, scale):
-        # An affine function's level sets are connected; nothing to separate.
-        return False, None, None
-    ratio = pencil_dependence(f.A, g.A, tol.tol_dep)
-    if ratio is None:
-        return False, None, None
-    h = combination_affine_form(f, g, ratio, alpha, beta)
-    report = affine_separates_quadratic(f.add_constant(-alpha), h, tol)
-    return report.separates, report, ratio
+) -> tuple[bool, float | None]:
+    """Does ``{g = beta}`` separate ``{f = alpha}``?  Also returns the pencil ratio."""
+    red = _PairReduction(f, g, tol)
+    # An affine f has connected level sets, so nothing separates them.  Only
+    # then does the reduction swap roles, so past this test red.f is f.
+    if red.fa_zero or red.ratio is None:
+        return False, None
+    h = combination_affine_form(f, g, red.ratio, alpha, beta)
+    return _affine_separates(f.add_constant(-alpha), h, red.hyperplane).separates, red.ratio
 
 
 def level_pair_separation(
@@ -413,9 +472,9 @@ def level_pair_separation(
     tol = tol or ToleranceSet()
     if f.n != g.n:
         raise DimensionMismatch(f"dimension mismatch: {f.n} vs {g.n}")
-    g_on_f, rep_gf, ratio_gf = _one_direction(f, float(alpha), g, float(beta), tol)
-    f_on_g, rep_fg, ratio_fg = _one_direction(g, float(beta), f, float(alpha), tol)
-    return LevelPairReport(g_on_f, f_on_g, rep_gf, rep_fg, ratio_gf, ratio_fg)
+    g_on_f, ratio_gf = _one_direction(f, float(alpha), g, float(beta), tol)
+    f_on_g, ratio_fg = _one_direction(g, float(beta), f, float(alpha), tol)
+    return LevelPairReport(g_on_f, f_on_g, ratio_gf, ratio_fg)
 
 
 def construct_separation_witness(

@@ -1,13 +1,20 @@
 """Symmetric-matrix machinery: eigendecompositions, inertia, ranges, pencils.
 
-All sign and rank decisions in this package funnel through the helpers here,
-so tolerance semantics live in exactly one place:
+The eigenvalue-sign, column-space and pencil tests are decided here:
 
 * eigenvalue signs are classified against ``tol * max(1, spectral_norm)``;
 * column-space membership keeps eigenspaces with ``|eig| > tol * spectral_norm``
   and accepts a residual up to ``tol * max(1, ||v||)``;
 * pencil dependence projects one matrix on the other in the Frobenius inner
   product and accepts a residual up to ``tol * max(||A||_F, ||B||_F)``.
+
+The other tolerance tests live with their callers.  ``separation._PairReduction``
+screens zero matrices, linear terms and combined gradient against ``tol_dep``
+times a floored pair scale; ``separation._affine_separates`` compares the
+strictness margin with ``tol_psd * max(1, |f(x0)|)``, and
+``separation._separating_levels`` sizes the margin it builds to clear that;
+``separation._separation_witness`` and ``convexity.verify_certificate`` accept
+witness points within ``tol_residual * max(1, |level|)``.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ from qrange import (
     cross_check,
     curated_cases,
     evaluate,
+    get_case,
+    level_pair_separation,
     make_quadratic,
     verify_certificate,
 )
@@ -220,6 +222,23 @@ class TestDifferentialAgreement:
                 assert report["valid"], report
 
 
+class TestCheckAgreesWithSeparate:
+    def test_certificate_levels_separate_in_the_analysed_direction(self):
+        # check's NONCONVEX levels must be a level pair that separate splits
+        # the same way: {g = beta} splits {f = alpha}, or the reverse when the
+        # certificate analysed the swapped pair.
+        instances = [c.instance for c in curated_cases()] + differential_batch(seed=20240817, count=500)
+        checked = 0
+        for p in instances:
+            cert = check_convexity(p)
+            if cert.verdict != VERDICT_NONCONVEX:
+                continue
+            rep = level_pair_separation(p.f, p.g, cert.f_level, cert.g_level, p.tolerances)
+            assert rep.f_separates_g if cert.swapped else rep.g_separates_f, cert.to_jsonable()
+            checked += 1
+        assert checked >= 50
+
+
 class TestInvarianceProperties:
     def test_affine_substitution_and_scaling_preserve_verdict(self):
         rng = np.random.default_rng(31)
@@ -244,6 +263,15 @@ class TestInvarianceProperties:
             base = check_convexity(p).verdict
             scaled = ProblemInstance(p.f.scaled(-4.5), p.g.scaled(0.25), p.tolerances)
             assert check_convexity(scaled).verdict == base
+
+    def test_large_scale_certificate_verifies(self):
+        # At 1e10 the pseudoinverse term is large enough that a fixed margin
+        # of 1 would fall under the separation check's relative threshold.
+        p = get_case("rank_deficient_4d").instance
+        scaled = ProblemInstance(p.f.scaled(1e10), p.g.scaled(1e10), p.tolerances)
+        cert = check_convexity(scaled)
+        assert cert.verdict == VERDICT_NONCONVEX
+        assert verify_certificate(scaled, cert)["valid"]
 
 
 class TestVerifyCertificate:

@@ -36,11 +36,6 @@ class TestDomainPoints:
         b = domain_points(2, 1.0, 100, seed=2)
         assert not np.array_equal(a, b)
 
-    def test_slices_concatenate_to_full_stream(self):
-        full = domain_points(2, 3.0, 10_000, seed=7)
-        pieces = [domain_points(2, 3.0, 10_000, seed=7, start=s, stop=min(s + 1234, 10_000)) for s in range(0, 10_000, 1234)]
-        assert np.array_equal(np.concatenate(pieces), full)
-
     def test_points_inside_box(self):
         pts = domain_points(4, 1.5, 2000, seed=3)
         assert np.all(np.abs(pts) <= 1.5)
@@ -62,8 +57,6 @@ class TestDomainPoints:
             domain_points(2, 1.0, 0, seed=0)
         with pytest.raises(InvalidInstance):
             domain_points(2, -1.0, 10, seed=0)
-        with pytest.raises(InvalidInstance):
-            domain_points(2, 1.0, 10, seed=0, start=5, stop=3)
 
 
 class TestSampleRange:
