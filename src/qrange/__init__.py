@@ -136,7 +136,8 @@ __all__ = [
     "construct_separation_witness",
     "exists_separating_affine_levels",
     "level_pair_separation",
-    # spectral helpers
+    # spectral helpers: eigh decomposes a matrix once, and inertia,
+    # range_membership and apply_pseudoinverse take its SpectralData
     "Inertia",
     "SpectralData",
     "apply_pseudoinverse",

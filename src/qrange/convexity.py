@@ -374,31 +374,23 @@ def verify_certificate(p: ProblemInstance, cert: ConvexityCertificate) -> dict[s
         return {"applicable": True, "valid": False, "reason": "certificate lacks witness data"}
     tol = p.tolerances
     wit = cert.witness
-    if cert.swapped:
-        hit_fn, hit_level = p.g, cert.g_level
-        sign_fn, sign_level = p.f, cert.f_level
-    else:
-        hit_fn, hit_level = p.f, cert.f_level
-        sign_fn, sign_level = p.g, cert.g_level
-
-    residual_u = abs(evaluate(hit_fn, wit.u) - hit_level)
-    residual_v = abs(evaluate(hit_fn, wit.v) - hit_level)
-    level_scale = max(1.0, abs(hit_level))
-    levels_hit = residual_u <= tol.tol_residual * level_scale and residual_v <= tol.tol_residual * level_scale
-
-    side_u = evaluate(sign_fn, wit.u) - sign_level
-    side_v = evaluate(sign_fn, wit.v) - sign_level
-    strictly_straddles = side_u * side_v < 0.0
-
+    levels = (cert.f_level, cert.g_level)
+    # Index of the function whose level the witness hits, and of the other one.
+    hit, side = (1, 0) if cert.swapped else (0, 1)
     fresh_u = np.array([evaluate(p.f, wit.u), evaluate(p.g, wit.u)])
     fresh_v = np.array([evaluate(p.f, wit.v), evaluate(p.g, wit.v)])
+
+    residual_u = abs(fresh_u[hit] - levels[hit])
+    residual_v = abs(fresh_v[hit] - levels[hit])
+    level_scale = max(1.0, abs(levels[hit]))
+    levels_hit = residual_u <= tol.tol_residual * level_scale and residual_v <= tol.tol_residual * level_scale
+    strictly_straddles = (fresh_u[side] - levels[side]) * (fresh_v[side] - levels[side]) < 0.0
+
     points_consistent = bool(
         np.allclose(fresh_u, wit.range_at_u, rtol=1e-12, atol=1e-12)
         and np.allclose(fresh_v, wit.range_at_v, rtol=1e-12, atol=1e-12)
     )
-    gap_consistent = bool(
-        np.allclose(wit.gap_point, [cert.f_level, cert.g_level], rtol=0.0, atol=0.0)
-    )
+    gap_consistent = bool(np.array_equal(wit.gap_point, levels))
 
     return {
         "applicable": True,

@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     InvalidInstance,
     InvalidReport,
+    OutOfRange,
     RootFailure,
     ZeroVector,
 )
@@ -40,11 +41,11 @@ from .quadratic import QuadraticFunction, ToleranceSet, evaluate
 from .spectral import (
     Inertia,
     SpectralData,
-    _pencil_fit,
     apply_pseudoinverse,
     eigh,
     inertia,
     null_space_basis,
+    pencil_dependence,
     range_membership,
 )
 
@@ -98,9 +99,6 @@ class AffineForm:
         if x.shape != (self.n,):
             raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.n},)")
         return float(self.c @ x + self.c0)
-
-    def scaled(self, t: float) -> "AffineForm":
-        return AffineForm(float(t) * self.c, float(t) * self.c0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,11 +177,11 @@ class HyperplaneReduction:
 
     @cached_property
     def a_in(self) -> bool:
-        return range_membership(self.f.A, self.f.a, self.tol.tol_rank, spectral=self.sd)[0]
+        return range_membership(self.sd, self.f.a, self.tol.tol_rank)
 
     @cached_property
     def c_in(self) -> bool:
-        return range_membership(self.f.A, self.c, self.tol.tol_rank, spectral=self.sd)[0]
+        return range_membership(self.sd, self.c, self.tol.tol_rank)
 
     @cached_property
     def V(self) -> np.ndarray:
@@ -257,7 +255,7 @@ class _PairReduction:
     @cached_property
     def pencil(self) -> tuple[float, float, bool]:
         """Projected ratio, residual and dependence verdict of ``g.A`` on ``f.A``."""
-        return _pencil_fit(self.f.A, self.g.A, self.tol.tol_dep)
+        return pencil_dependence(self.f.A, self.g.A, self.tol.tol_dep)
 
     @property
     def ratio(self) -> float | None:
@@ -283,8 +281,7 @@ class _PairReduction:
 
     @cached_property
     def b_in(self) -> bool:
-        sd = self.hyperplane.sd
-        return range_membership(self.f.A, self.g.a, self.tol.tol_rank, spectral=sd)[0]
+        return range_membership(self.hyperplane.sd, self.g.a, self.tol.tol_rank)
 
 
 def combination_affine_form(
@@ -331,24 +328,21 @@ def _affine_separates(
 
     unit_c = h.c / norm_c
     x0 = -(h.c0 / norm_c) * unit_c
-    W, sd_w = red.W, red.sd_w
     w_plus = red.V.T @ (f.A @ x0 + f.a)
-    w_in_range, _ = range_membership(W, w_plus, tol.tol_rank, spectral=sd_w)
     f_x0 = evaluate(f, x0)
     threshold = tol.tol_psd * max(1.0, abs(f_x0))
     # The two orientations share all spectral work: negating f negates the
     # restricted form and its pseudoinverse term, so the margins are exact
     # negatives of one another (hence at most one orientation can pass).
-    quad_term = (
-        apply_pseudoinverse(W, w_plus, tol.tol_rank, spectral=sd_w) if w_in_range else None
-    )
+    # None means w_plus lies outside the restricted form's column space.
+    quad_term = apply_pseudoinverse(red.sd_w, w_plus, tol.tol_rank)
 
     failed: dict[int, tuple[str, ...]] = {}
     near_degenerate = False
     winner: tuple[int, float] | None = None
     for sign in (+1, -1):
         labels = list(red.failed_conditions(sign))
-        if not w_in_range:
+        if quad_term is None:
             labels.append(COND_PROJECTED_IN_RANGE)
             margin = None
         else:
@@ -428,7 +422,9 @@ def _separating_levels(
     foot = -((c0 - gamma) / norm_c) * (c / norm_c)
     w_bar = V.T @ (A_bar @ foot + a_bar)
     sd_w = red.sd_w if sign > 0 else red.sd_w.negated()
-    quad_term = apply_pseudoinverse(sign * red.W, w_bar, red.tol.tol_rank, spectral=sd_w)
+    quad_term = apply_pseudoinverse(sd_w, w_bar, red.tol.tol_rank)
+    if quad_term is None:
+        raise OutOfRange("projected gradient lies outside the restricted form's column space")
     # _affine_separates needs margin > tol_psd * max(1, |quad_term + margin|);
     # twice the smallest such margin leaves room for rounding in alpha.
     tol_psd = red.tol.tol_psd

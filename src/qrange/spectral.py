@@ -1,5 +1,10 @@
 """Symmetric-matrix machinery: eigendecompositions, inertia, ranges, pencils.
 
+A matrix is decomposed once by :func:`eigh`; :func:`inertia`,
+:func:`range_membership` and :func:`apply_pseudoinverse` take the resulting
+:class:`SpectralData`, so each column-space question is one projection onto
+an eigenbasis already in hand.
+
 The eigenvalue-sign, column-space and pencil tests are decided here:
 
 * eigenvalue signs are classified against ``tol * max(1, spectral_norm)``;
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, OutOfRange, ZeroMatrix, ZeroVector
+from .errors import ConvergenceFailure, DimensionMismatch, ZeroMatrix, ZeroVector
 
 __all__ = [
     "SpectralData",
@@ -121,53 +126,38 @@ def null_space_basis(c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(H[:, 1:])
 
 
-def _range_projection_parts(
-    s: SpectralData, tol_rank: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Columns spanning the (numerical) column space and their eigenvalues."""
-    keep = np.abs(s.eigenvalues) > tol_rank * s.spectral_norm
-    return s.eigenvectors[:, keep], s.eigenvalues[keep]
+def _project(s: SpectralData, v: np.ndarray, tol_rank: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coordinates of ``v`` on the column-space eigenvectors and their eigenvalues.
 
-
-def range_membership(
-    M: np.ndarray,
-    v: np.ndarray,
-    tol_rank: float,
-    spectral: SpectralData | None = None,
-) -> tuple[bool, np.ndarray | None]:
-    """Is ``v`` in the column space of symmetric ``M``?
-
-    Returns ``(True, y)`` with the minimum-norm solution of ``M y = v`` when
-    the projection residual ``||v - P v||`` is at most
-    ``tol_rank * max(1, ||v||)``, else ``(False, None)``.
+    The column space is spanned by the eigenvectors with
+    ``|eig| > tol_rank * spectral_norm``; ``None`` when the residual of ``v``
+    off it exceeds ``tol_rank * max(1, ||v||)``.
     """
     v = np.asarray(v, dtype=float)
-    s = spectral if spectral is not None else eigh(M)
     if v.shape != (s.eigenvectors.shape[0],):
         raise DimensionMismatch(
             f"vector has shape {v.shape}, expected ({s.eigenvectors.shape[0]},)"
         )
-    Q, vals = _range_projection_parts(s, tol_rank)
+    keep = np.abs(s.eigenvalues) > tol_rank * s.spectral_norm
+    Q = s.eigenvectors[:, keep]
     coords = Q.T @ v
-    residual = float(np.linalg.norm(v - Q @ coords))
-    if residual > tol_rank * max(1.0, float(np.linalg.norm(v))):
-        return False, None
-    return True, Q @ (coords / vals) if vals.size else np.zeros_like(v)
+    if float(np.linalg.norm(v - Q @ coords)) > tol_rank * max(1.0, float(np.linalg.norm(v))):
+        return None
+    return coords, s.eigenvalues[keep]
 
 
-def pencil_dependence(A: np.ndarray, B: np.ndarray, tol_dep: float) -> float | None:
-    """The ratio ``r`` with ``B = r A``, or ``None`` if no such ratio exists.
+def range_membership(s: SpectralData, v: np.ndarray, tol_rank: float) -> bool:
+    """Is ``v`` in the column space of the matrix that ``s`` decomposes?"""
+    return _project(s, v, tol_rank) is not None
 
-    ``r`` is the Frobenius projection ``<A, B> / <A, A>``; dependence is
-    accepted when ``||B - r A||_F <= tol_dep * max(||A||_F, ||B||_F)``.
+
+def pencil_dependence(A: np.ndarray, B: np.ndarray, tol_dep: float) -> tuple[float, float, bool]:
+    """Does ``B = r A`` hold for some ratio ``r``?
+
+    Returns the Frobenius projection ``r = <A, B> / <A, A>``, the residual
+    ``||B - r A||_F``, and the verdict ``residual <= tol_dep * max(||A||_F, ||B||_F)``.
     ``A`` must be nonzero (:class:`ZeroMatrix` otherwise).
     """
-    ratio, _, dependent = _pencil_fit(A, B, tol_dep)
-    return ratio if dependent else None
-
-
-def _pencil_fit(A: np.ndarray, B: np.ndarray, tol_dep: float) -> tuple[float, float, bool]:
-    """Projected ratio ``<A, B> / <A, A>``, residual ``||B - r A||_F``, and the dependence verdict."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
@@ -181,29 +171,16 @@ def _pencil_fit(A: np.ndarray, B: np.ndarray, tol_dep: float) -> tuple[float, fl
     return ratio, residual, residual <= tol_dep * scale
 
 
-def apply_pseudoinverse(
-    M: np.ndarray,
-    w: np.ndarray,
-    tol_rank: float,
-    spectral: SpectralData | None = None,
-) -> float:
-    """The quadratic form ``w' pinv(M) w`` for symmetric ``M``.
+def apply_pseudoinverse(s: SpectralData, w: np.ndarray, tol_rank: float) -> float | None:
+    """The quadratic form ``w' pinv(M) w`` for the symmetric ``M`` that ``s`` decomposes.
 
-    Computed spectrally as ``sum (q_i'w)^2 / eig_i`` over eigenpairs with
-    ``|eig_i| > tol_rank * spectral_norm``.  The value is only meaningful when
-    ``w`` lies in the column space of ``M``; :class:`OutOfRange` is raised
-    otherwise.  (Intended for semidefinite ``M``, where the sign of the result
-    matches the sign of ``M``.)
+    Computed spectrally as ``sum (q_i'w)^2 / eig_i`` over the column-space
+    eigenpairs of :func:`range_membership`; ``None`` when ``w`` lies outside
+    that column space.  (Intended for semidefinite ``M``, where the sign of
+    the result matches the sign of ``M``.)
     """
-    w = np.asarray(w, dtype=float)
-    s = spectral if spectral is not None else eigh(M)
-    Q, vals = _range_projection_parts(s, tol_rank)
-    coords = Q.T @ w
-    residual = float(np.linalg.norm(w - Q @ coords))
-    if residual > tol_rank * max(1.0, float(np.linalg.norm(w))):
-        raise OutOfRange(
-            f"vector lies outside the column space (residual {residual:.3e})"
-        )
-    if vals.size == 0:
-        return 0.0
+    parts = _project(s, w, tol_rank)
+    if parts is None:
+        return None
+    coords, vals = parts
     return float(np.sum(coords * coords / vals))

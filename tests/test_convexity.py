@@ -317,30 +317,50 @@ class TestSharedReduction:
     """Both checkers read one reduction, and it computes only what is read."""
 
     @pytest.fixture
-    def eigh_calls(self, monkeypatch):
-        # Callers bind eigh by name, so wrap it in every namespace that holds it.
-        calls = []
-        original = spectral.eigh
+    def spectral_calls(self, monkeypatch):
+        """``spectral_calls(name)`` records the array shapes of each call of ``spectral.<name>``."""
 
-        def counting(M):
-            calls.append(np.shape(M))
-            return original(M)
+        def count(name):
+            # Callers bind helpers by name, so wrap the helper in every namespace that holds it.
+            calls = []
+            original = getattr(spectral, name)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "qrange" and vars(module).get("eigh") is original:
-                monkeypatch.setattr(module, "eigh", counting)
-        return calls
+            def counting(*args, **kwargs):
+                calls.append([np.shape(a) for a in args if isinstance(a, np.ndarray)])
+                return original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "qrange" and vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counting)
+            return calls
+
+        return count
 
     @pytest.mark.parametrize("checker", [check_convexity, cross_check], ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
-    def test_at_most_two_eigensolves_per_nonconvex_case(self, eigh_calls, checker, case):
+    def test_at_most_two_eigensolves_per_nonconvex_case(self, spectral_calls, checker, case):
+        eigh_calls = spectral_calls("eigh")
         result = checker(case.instance)
         assert getattr(result, "certificate", result).verdict == VERDICT_NONCONVEX
         assert len(eigh_calls) <= 2, eigh_calls
 
+    @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
+    def test_at_most_two_range_memberships_per_nonconvex_case(self, spectral_calls, case):
+        # a and c in range(A); the projected gradient's membership is read from
+        # the one pseudoinverse projection.
+        calls = spectral_calls("range_membership")
+        assert check_convexity(case.instance).verdict == VERDICT_NONCONVEX
+        assert len(calls) <= 2, calls
+
     @pytest.mark.parametrize("checker", [check_convexity, cross_check], ids=lambda fn: fn.__name__)
-    def test_independent_pencil_needs_no_eigensolve(self, eigh_calls, checker):
+    def test_independent_pencil_needs_no_eigensolve(self, spectral_calls, checker):
+        eigh_calls = spectral_calls("eigh")
         case = next(c for c in curated_cases() if c.name == "bowl_vs_sheet_3d")
         assert case.expected.final_step == 1
         checker(case.instance)
         assert eigh_calls == []
+
+    def test_independent_pencil_is_one_pencil_test(self, spectral_calls):
+        calls = spectral_calls("pencil_dependence")
+        check_convexity(next(c for c in curated_cases() if c.name == "bowl_vs_sheet_3d").instance)
+        assert len(calls) == 1, calls

@@ -34,10 +34,6 @@ class TestAffineForm:
         h = AffineForm(np.array([2.0, -1.0]), 3.0)
         assert h(np.array([1.0, 1.0])) == pytest.approx(4.0)
 
-    def test_scaled(self):
-        h = AffineForm(np.array([2.0, -1.0]), 3.0).scaled(-2.0)
-        assert h(np.array([1.0, 1.0])) == pytest.approx(-8.0)
-
     def test_empty_direction_rejected(self):
         with pytest.raises((ZeroVector, Exception)):
             AffineForm(np.array([]), 0.0)
