@@ -64,13 +64,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qrange", description="Convexity of the joint range of two quadratics.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_common(p: _Parser, *, needs_input: bool = True) -> None:
-        if needs_input:
+    def add_common(p: _Parser, *, reads_problem: bool = True) -> None:
+        if reads_problem:
             p.add_argument("--input", "-i", required=True, help="problem JSON file")
         p.add_argument("--output", "-o", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default=None, help="output format")
-        for name in ("tol-eig", "tol-dep", "tol-rank", "tol-psd"):
-            p.add_argument(f"--{name}", type=float, default=None, help=f"override {name.replace('-', '_')}")
+        if reads_problem:
+            for name in ("tol-eig", "tol-dep", "tol-rank", "tol-psd"):
+                p.add_argument(f"--{name}", type=float, default=None, help=f"override {name.replace('-', '_')}")
 
     add_common(sub.add_parser("check", help="decide convexity of the joint range"))
     add_common(sub.add_parser("fb-check", help="decide via the direction criterion"))
@@ -93,7 +94,7 @@ def _build_parser() -> _Parser:
     p_sample.add_argument("--coverage-radius", type=float, default=None, help="uncovered distance (default: 2 cell diagonals)")
     p_sample.add_argument("--min-cluster", type=int, default=4, help="smallest hole-cell cluster that counts")
 
-    add_common(sub.add_parser("reproduce", help="re-derive the curated suite expectations"), needs_input=False)
+    add_common(sub.add_parser("reproduce", help="re-derive the curated suite expectations"), reads_problem=False)
     return parser
 
 

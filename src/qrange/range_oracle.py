@@ -6,6 +6,12 @@ of the resulting cloud.  A clustered patch suggests a nonconvex range.  Known
 false-negative modes (documented, not worked around): holes thinner than the
 raster, holes outside the sampled box's image, and ranges whose interesting
 geometry is dwarfed by the image of large ``|x|``.
+
+SciPy (convex hull, k-d tree, cluster labelling) is imported inside
+:func:`detect_holes`, its only user, not at module level.  The package
+imports this module, so a module-level import would make ``import qrange``
+and every CLI command load SciPy, which takes longer than a whole decision;
+only ``sample`` calls :func:`detect_holes`.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegenerateCloud, DimensionMismatch, InvalidInstance, IoFailure
 from .quadratic import ProblemInstance, evaluate_many
@@ -141,6 +145,9 @@ def detect_holes(
     hole detection is undecidable there and callers treating the outcome as a
     verdict should read it as "no hole suspected".
     """
+    from scipy import ndimage
+    from scipy.spatial import ConvexHull, QhullError, cKDTree
+
     if resolution < 2:
         raise InvalidInstance(f"resolution must be at least 2, got {resolution}")
     pts = s.points

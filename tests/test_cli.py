@@ -169,6 +169,14 @@ class TestOtherCommands:
         assert doc["result"]["passed"] is True
         assert len(doc["result"]["rows"]) >= 30
 
+    @pytest.mark.parametrize("flag", ["--tol-eig", "--tol-dep", "--tol-rank", "--tol-psd"])
+    def test_reproduce_rejects_tolerance_override(self, capsys, flag):
+        # reproduce always runs at the default tolerances, so an override would be ignored.
+        code, out, err = run_cli(capsys, "reproduce", flag, "0.5")
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+
 
 class TestDegenerateSampling:
     def test_collinear_cloud_reported_not_crashed(self, capsys, tmp_path):

@@ -21,6 +21,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -77,6 +80,48 @@ def test_cli_output_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.stdout").read_text(encoding="utf-8")
     assert out == expected
     assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[name]
+
+
+# Runs the invocations read from stdin through the CLI in this interpreter and
+# prints each exit code and stdout, then whether SciPy was imported.
+_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+from qrange.cli import main
+results = {}
+for name, argv in json.load(sys.stdin).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results[name] = [code, out.getvalue()]
+print(json.dumps({"results": results, "scipy_loaded": "scipy" in sys.modules}))
+"""
+
+
+def test_decision_commands_match_golden_without_scipy():
+    """A fresh interpreter reproduces the decision goldens and never imports SciPy.
+
+    The in-process goldens run after other test modules have imported SciPy,
+    so they cannot see an output that changes when SciPy is absent.
+    """
+    runs = {
+        f"{command}-{path.stem}": INVOCATIONS[f"{command}-{path.stem}"]
+        for path in sorted((REPO_ROOT / "instances").glob("*.json"))
+        for command in ("check", "cross-check", "witness")
+    }
+    assert len(runs) == 24
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER],
+        input=json.dumps(runs), capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    doc = json.loads(proc.stdout)
+    codes = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+    for name in runs:
+        code, out = doc["results"][name]
+        assert out == (GOLDEN_DIR / f"{name}.stdout").read_text(encoding="utf-8"), name
+        assert code == codes[name], name
+    assert doc["scipy_loaded"] is False
 
 
 def test_every_golden_file_has_an_invocation():

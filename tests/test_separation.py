@@ -7,9 +7,9 @@ import pytest
 
 from qrange import (
     AffineForm,
+    DimensionMismatch,
     InvalidReport,
     ToleranceSet,
-    ZeroVector,
     affine_separates_quadratic,
     combination_affine_form,
     construct_separation_witness,
@@ -35,7 +35,7 @@ class TestAffineForm:
         assert h(np.array([1.0, 1.0])) == pytest.approx(4.0)
 
     def test_empty_direction_rejected(self):
-        with pytest.raises((ZeroVector, Exception)):
+        with pytest.raises(DimensionMismatch):
             AffineForm(np.array([]), 0.0)
 
 
