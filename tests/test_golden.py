@@ -36,6 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 SAMPLE_CASE = "saddle_with_line_split"
+DEFAULT_SAMPLE_CASE = "saddle_pair_dependent"
 OUT_DIR = "{out}"
 
 
@@ -56,6 +57,9 @@ def _invocations() -> dict[str, list[str]]:
             "sample", "--input", path, "--mode", mode, "--samples", "2000",
             "--resolution", "40", "--output", f"{OUT_DIR}/cloud.csv",
         ]
+    # The `sample` benchmark op: CLI defaults (1e5 samples, resolution 200).
+    path = str(REPO_ROOT / "instances" / f"{DEFAULT_SAMPLE_CASE}.json")
+    runs[f"sample-default-{DEFAULT_SAMPLE_CASE}"] = ["sample", "--input", path, "--output", f"{OUT_DIR}/cloud.csv"]
     return runs
 
 
