@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateCloud, DimensionMismatch, InvalidInstance, IoFailure
 from .quadratic import ProblemInstance, evaluate_many
-from .serialize import format_float
+from .serialize import format_csv_rows
 
 __all__ = [
     "SampleMode",
@@ -120,9 +120,16 @@ def sample_range(
     seed: int,
     mode: SampleMode = SampleMode.UNIFORM,
 ) -> RangeSample:
-    """Map ``count`` deterministic domain points through ``(f, g)``."""
+    """Map ``count`` deterministic domain points through ``(f, g)``.
+
+    Raises :class:`InvalidInstance` when a value overflows to a non-finite
+    float: no hull or raster can be built from such a cloud.
+    """
     X = domain_points(p.n, box, count, seed, mode)
-    pts = np.column_stack([evaluate_many(p.f, X), evaluate_many(p.g, X)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = np.column_stack([evaluate_many(p.f, X), evaluate_many(p.g, X)])
+    if not np.isfinite(pts).all():
+        raise InvalidInstance(f"sampled range values overflow the float range on the box of half-width {box}")
     pts.setflags(write=False)
     return RangeSample(pts, p.n, float(box), int(count), int(seed), mode)
 
@@ -200,12 +207,11 @@ def detect_holes(
     )
 
 
-def _write_csv(path: str, rows: np.ndarray) -> None:
+def _write_csv(path: str, body: str) -> None:
+    """Write the ``fx,gx`` header and the rows :func:`format_csv_rows` built, in one call."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("fx,gx\n")
-            for fx, gx in rows:
-                fh.write(f"{format_float(fx)},{format_float(gx)}\n")
+            fh.write("fx,gx\n" + body)
     except OSError as exc:
         raise IoFailure(f"cannot write {path!r}: {exc}") from exc
 
@@ -214,18 +220,18 @@ def emit_plot_data(s: RangeSample, report: HoleReport | None, path: str) -> list
     """Write the cloud (and hull/hole sidecars) as CSV files.
 
     ``path`` names the sample CSV; sidecars take ``_hull`` / ``_holes``
-    suffixes before the extension.  Returns the written paths.
+    suffixes before the extension.  Returns the written paths.  Values are
+    printed as :func:`~qrange.serialize.format_float` prints them.  Every
+    file's rows are formatted before any file is opened, so a non-finite
+    value raises :class:`ValueError` and leaves no file behind.
     """
     if s.points.ndim != 2 or s.points.shape[1] != 2:
         raise DimensionMismatch("range sample must hold 2-column points")
     root, ext = (path[:-4], path[-4:]) if path.lower().endswith(".csv") else (path, ".csv")
-    written = [root + ext]
-    _write_csv(written[0], s.points)
+    bodies = {root + ext: format_csv_rows(s.points)}
     if report is not None:
-        hull_path = f"{root}_hull{ext}"
-        _write_csv(hull_path, report.hull_vertices)
-        written.append(hull_path)
-        holes_path = f"{root}_holes{ext}"
-        _write_csv(holes_path, report.hole_cells)
-        written.append(holes_path)
-    return written
+        bodies[f"{root}_hull{ext}"] = format_csv_rows(report.hull_vertices)
+        bodies[f"{root}_holes{ext}"] = format_csv_rows(report.hole_cells)
+    for name, body in bodies.items():
+        _write_csv(name, body)
+    return list(bodies)

@@ -13,7 +13,14 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["format_float", "canonical_json"]
+__all__ = ["format_float", "format_csv_rows", "canonical_json"]
+
+
+def _finite_text(x: float) -> str:
+    # ".17g" prints finite values with a lowercase "e" only; ".0" keeps an
+    # integral value reading as a float.
+    text = format(x, ".17g")
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def format_float(x: float) -> str:
@@ -21,10 +28,20 @@ def format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    text = format(x, ".17g")
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
+    return _finite_text(x)
+
+
+def format_csv_rows(rows: np.ndarray) -> str:
+    """The two-column ``rows`` as CSV lines, each value as :func:`format_float` prints it.
+
+    Every value is checked before any text is built, so a non-finite value
+    raises the same :class:`ValueError` as :func:`format_float`.
+    """
+    finite = np.isfinite(rows)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite value {float(rows[~finite][0])!r}")
+    r = _finite_text
+    return "".join([f"{r(a)},{r(b)}\n" for a, b in rows.tolist()])
 
 
 def _write(obj: Any, out: list[str], indent: int) -> None:

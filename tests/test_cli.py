@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrange import ProblemInstance, make_quadratic, save_problem
+from qrange import ProblemInstance, load_problem, make_quadratic, save_problem
 from qrange.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -192,3 +192,17 @@ class TestDegenerateSampling:
         doc = json.loads(out)["result"]
         assert doc["holes"]["suspected_nonconvex"] is False
         assert "degenerate_cloud" in doc["holes"]
+
+    def test_overflowing_cloud_is_invalid_input(self, capsys, tmp_path):
+        # Finite coefficients whose sampled values overflow to inf.
+        p = load_problem(SPLIT)
+        path = tmp_path / "huge.json"
+        save_problem(ProblemInstance(p.f.scaled(1e307), p.g.scaled(1e307)), str(path))
+        code, out, err = run_cli(
+            capsys, "sample", "--input", str(path), "--output", str(tmp_path / "huge"),
+            "--samples", "1000", "--resolution", "50",
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err and "overflow" in err
+        assert list(tmp_path.glob("*.csv")) == []

@@ -150,8 +150,9 @@ class TestEmitPlotData:
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
         assert (tmp_path / "one_holes.csv").read_bytes() == (tmp_path / "two_holes.csv").read_bytes()
 
-    def test_no_hole_report_writes_sample_and_hull_only(self, tmp_path):
+    def test_no_hole_report_writes_sample_only(self, tmp_path):
         s = sample_range(saddle_pair(), 5.0, 1000, seed=3)
         written = emit_plot_data(s, None, str(tmp_path / "bare"))
-        assert any(w.endswith("bare.csv") for w in written)
+        assert written == [str(tmp_path / "bare.csv")]
+        assert not (tmp_path / "bare_hull.csv").exists()
         assert not (tmp_path / "bare_holes.csv").exists()

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from qrange.serialize import canonical_json, format_float
+from qrange.range_oracle import RangeSample, SampleMode, emit_plot_data
+from qrange.serialize import canonical_json, format_csv_rows, format_float
 
 
 class TestFormatFloat:
@@ -31,6 +32,36 @@ class TestFormatFloat:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 format_float(bad)
+
+
+# Values where ".17g" drops the decimal point, switches to exponent form, or
+# prints a sign or a subnormal.
+EDGE_VALUES = [
+    0.0, -0.0, 1e16, 1e17, 2.0**53, 99999999999999999.0, 5e-324, 1e300, 1 / 3, -250.0, 1e-5,
+    -1e16, -1e17, -(2.0**53), -5e-324, -1e300,
+]
+
+
+class TestFormatCsvRows:
+    def test_matches_format_float_per_value(self):
+        rows = np.array([[a, b] for a in EDGE_VALUES for b in EDGE_VALUES])
+        expected = "".join(f"{format_float(a)},{format_float(b)}\n" for a, b in rows)
+        assert format_csv_rows(rows) == expected
+
+    def test_empty_rows_give_empty_text(self):
+        assert format_csv_rows(np.empty((0, 2))) == ""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_csv_rows(np.array([[1.0, 2.0], [3.0, bad]]))
+
+    def test_nonfinite_cloud_leaves_no_file(self, tmp_path):
+        points = np.array([[0.0, 1.0], [2.0, math.inf], [4.0, 5.0]])
+        cloud = RangeSample(points, 2, 1.0, 3, 0, SampleMode.UNIFORM)
+        with pytest.raises(ValueError):
+            emit_plot_data(cloud, None, str(tmp_path / "cloud.csv"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCanonicalJson:
