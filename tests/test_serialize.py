@@ -17,10 +17,14 @@ class TestFormatFloat:
         assert format_float(1.0) == "1.0"
         assert format_float(-250.0) == "-250.0"
         assert format_float(0.0) == "0.0"
+        assert format_float(-0.0) == "-0.0"
+        assert format_float(1e16) == "10000000000000000.0"
 
     def test_seventeen_significant_digits(self):
         assert format_float(1 / 3) == "0.33333333333333331"
         assert format_float(0.1) == "0.10000000000000001"
+        assert format_float(1e17) == "1e+17"
+        assert format_float(5e-324) == "4.9406564584124654e-324"
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(8)
