@@ -120,11 +120,16 @@ def make_quadratic(M: np.ndarray, a: np.ndarray, a0: float, tol_sym: float = 1e-
         raise DimensionMismatch(f"linear term has shape {a.shape}, expected ({n},)")
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(a)) and np.isfinite(a0)):
         raise InvalidInstance("quadratic data must be finite")
-    asym = np.linalg.norm(M - M.T)
-    if asym > tol_sym * max(1.0, np.linalg.norm(M)):
-        raise AsymmetricInput(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance; refusing to symmetrize"
-        )
+    # Norms of M / max|M_ij| cannot overflow; the test is the one above,
+    # divided through by that scale.
+    scale = float(np.abs(M).max())
+    if scale > 0.0:
+        unit = M / scale
+        asym = float(np.linalg.norm(unit - unit.T))
+        if asym > tol_sym * max(1.0 / scale, float(np.linalg.norm(unit))):
+            raise AsymmetricInput(
+                f"matrix asymmetry {asym * scale:.3e} exceeds tolerance; refusing to symmetrize"
+            )
     sym = (M + M.T) / 2.0
     return QuadraticFunction(_read_only(sym), _read_only(a), float(a0))
 

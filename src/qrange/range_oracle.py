@@ -7,11 +7,15 @@ false-negative modes (documented, not worked around): holes thinner than the
 raster, holes outside the sampled box's image, and ranges whose interesting
 geometry is dwarfed by the image of large ``|x|``.
 
-SciPy (convex hull, k-d tree, cluster labelling) is imported inside
-:func:`detect_holes`, its only user, not at module level.  The package
-imports this module, so a module-level import would make ``import qrange``
-and every CLI command load SciPy, which takes longer than a whole decision;
-only ``sample`` calls :func:`detect_holes`.
+Hole detection uses NumPy only.  The hull is an Akl–Toussaint prefilter
+followed by quickhull; its vertices run counter-clockwise from the
+lexicographically smallest one (least ``f``, then least ``g``), and a vertex
+closer than ``_COLLINEAR`` (3e-15) times the cloud's largest absolute
+coordinate to the line through its two neighbours is dropped, as Qhull merges
+such near-collinear vertices.  Coverage sorts the points once by raster cell
+and decides each cell center from cells that lie wholly inside the coverage
+radius, or else from exact distances to the points of the cells the radius
+reaches; clusters are 4-connected runs of hole cells.
 """
 
 from __future__ import annotations
@@ -40,6 +44,20 @@ __all__ = [
 # counter-based generator keyed by (seed, block index).
 _BLOCK = 4096
 
+# A hull vertex closer than this, times the cloud's largest absolute
+# coordinate, to the line through its two neighbours is not a vertex.  Qhull
+# merges such near-collinear vertices (grid-mode clouds have many).  Any value
+# from 1e-15 to 1e-8 gives Qhull's vertex sets on the curated instances; this
+# one, about 14 units of roundoff, also does on clouds far from the origin
+# relative to their extent, where larger values drop true vertices.
+_COLLINEAR = 3e-15
+
+# Margin, in cells, by which the coverage test widens every cell before it
+# decides a center from cell indices alone; it covers the rounding in cell
+# assignment and center placement, so those decisions agree with exact
+# distances.
+_SLACK = 1.0 / 16
+
 
 class SampleMode(str, Enum):
     UNIFORM = "uniform"
@@ -65,6 +83,10 @@ class HoleReport:
     suspected_nonconvex: bool
     hole_cells: np.ndarray
     hull_vertices: np.ndarray
+    """The hull's vertices counter-clockwise, starting at the lexicographically
+    smallest (least ``f``, then least ``g``).  A vertex closer than ``3e-15``
+    times the cloud's largest absolute coordinate to the line through its two
+    neighbours is dropped."""
     resolution: int
     coverage_radius: float
     largest_cluster: int
@@ -134,6 +156,157 @@ def sample_range(
     return RangeSample(pts, p.n, float(box), int(count), int(seed), mode)
 
 
+def _convex_hull(pts: np.ndarray) -> np.ndarray:
+    """The hull vertices of ``pts`` in the order :class:`HoleReport` documents.
+
+    Points strictly inside the polygon of the extreme points in eight
+    directions cannot be vertices and are dropped first (Akl–Toussaint).
+    Quickhull then splits each chord at the candidate farthest outside it;
+    candidates within ``tau`` of a chord are not vertices, and neither is a
+    vertex left within ``tau`` of the line through its neighbours.
+    """
+    tau = _COLLINEAR * float(np.abs(pts).max())
+    x, y = pts[:, 0], pts[:, 1]
+    # Counter-clockwise by direction: -x, -x-y, -y, x-y, x, x+y, y, y-x.
+    poly = pts[[np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmax(x - y),
+                np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y)]]
+    poly = poly[np.any(poly != np.roll(poly, 1, axis=0), axis=1)]
+    candidates = np.arange(pts.shape[0])
+    if poly.shape[0] >= 3:
+        outer = np.zeros(pts.shape[0], dtype=bool)
+        for (px, py), (dx, dy) in zip(poly, np.roll(poly, -1, axis=0) - poly):
+            outer |= dx * (y - py) - dy * (x - px) <= tau * math.hypot(dx, dy)
+        candidates = np.flatnonzero(outer)
+    order = np.lexsort((y[candidates], x[candidates]))
+    first, last = int(candidates[order[0]]), int(candidates[order[-1]])
+
+    def chain(p: int, q: int) -> list[int]:
+        # The vertices strictly between p and q, counter-clockwise; a chord's
+        # candidates are the points right of it, outside the hull so far.
+        out: list[int] = []
+        stack: list = [(p, q, candidates)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, int):
+                out.append(item)
+                continue
+            p, q, c = item
+            (px, py), (dx, dy) = pts[p], pts[q] - pts[p]
+            outside = dy * (x[c] - px) - dx * (y[c] - py)
+            keep = outside > tau * math.hypot(dx, dy)
+            if keep.any():
+                c, outside = c[keep], outside[keep]
+                m = int(c[np.argmax(outside)])
+                stack += [(m, q, c), m, (p, m, c)]
+        return out
+
+    hull = pts[[first, *chain(first, last), last, *chain(last, first)]]
+    while hull.shape[0] >= 3:
+        prev = np.roll(hull, 1, axis=0)
+        chord = np.roll(hull, -1, axis=0) - prev
+        outside = chord[:, 1] * (hull[:, 0] - prev[:, 0]) - chord[:, 0] * (hull[:, 1] - prev[:, 1])
+        dist = outside / np.hypot(chord[:, 0], chord[:, 1])
+        k = int(np.argmin(dist))
+        if dist[k] > tau:
+            break
+        hull = np.delete(hull, k, axis=0)
+    if hull.shape[0] < 3:
+        raise DegenerateCloud(f"convex hull has {hull.shape[0]} vertices")
+    return np.roll(hull, -int(np.lexsort((hull[:, 1], hull[:, 0]))[0]), axis=0)
+
+
+def _uncovered(
+    pts: np.ndarray, lo: np.ndarray, cell: np.ndarray, centers: np.ndarray, inside: np.ndarray, radius: float
+) -> np.ndarray:
+    """Which ``inside`` raster centers lie farther than ``radius`` from every point.
+
+    Decides what a nearest-neighbour query does: a center is covered when
+    some point has ``sqrt(dx*dx + dy*dy) <= radius``.  A center is covered
+    at once when a cell wholly inside the radius holds a point (a
+    summed-area table counts them); the others are checked exactly against
+    the points of the cells the radius reaches, one contiguous slice of the
+    cell-sorted points per raster row.  Offsets are clamped to the raster, so
+    the cost is bounded by its size, not by ``radius`` or the aspect ratio.
+    """
+    res = inside.shape[0]
+    ij = np.clip(np.floor((pts - lo) / cell), 0, res - 1).astype(np.intp)
+    key = ij[:, 0] * res + ij[:, 1]
+    by_cell = pts[np.argsort(key)]
+    counts = np.bincount(key, minlength=res * res)
+    start = np.zeros(res * res + 1, dtype=np.intp)
+    np.cumsum(counts, out=start[1:])
+    occupied = np.zeros((res + 1, res + 1), dtype=np.intp)
+    occupied[1:, 1:] = (counts.reshape(res, res) > 0).cumsum(axis=0).cumsum(axis=1)
+
+    # For a row offset d, cells with column offset up to full[d] lie wholly
+    # inside the radius and those up to reach[d] may hold a covering point;
+    # -1 means none.  Both shrink as d grows.
+    cx, cy = float(cell[0]), float(cell[1])
+    slack = _SLACK + 4.0 * np.finfo(float).eps * float(np.abs(pts).max()) / min(cx, cy)
+    d = np.arange(res, dtype=float)
+    far, near = (d + 0.5 + slack) * cx, np.maximum(d - 0.5 - slack, 0.0) * cx
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = np.floor(np.sqrt((radius - far) * (radius + far)) / cy - 0.5 - slack)
+        reach = np.floor(np.sqrt((radius - near) * (radius + near)) / cy + 0.5 + slack)
+    full = np.minimum.accumulate(np.where(far <= radius, np.minimum(full, res - 1), -1).astype(np.intp))
+    reach = np.where(near <= radius, np.minimum(reach, res - 1), -1).astype(np.intp)
+
+    idx = np.arange(res)
+    covered = np.zeros((res, res), dtype=bool)
+    full = full[full >= 0]
+    for dd in np.flatnonzero(np.diff(full, append=-1)):
+        # Rows within dd and columns within full[dd], the widest such block.
+        r0, r1 = np.clip(idx - dd, 0, res)[:, None], np.clip(idx + dd + 1, 0, res)[:, None]
+        c0, c1 = np.clip(idx - full[dd], 0, res), np.clip(idx + full[dd] + 1, 0, res)
+        covered |= occupied[r1, c1] - occupied[r0, c1] - occupied[r1, c0] + occupied[r0, c0] > 0
+
+    uncovered = inside & ~covered
+    ti, tj = np.nonzero(uncovered)
+    at = centers.reshape(res, res, 2)[ti, tj]
+    hit = np.zeros(ti.size, dtype=bool)
+    for dd in range(np.count_nonzero(reach >= 0)):
+        if hit.all():
+            break
+        w = reach[dd]
+        for row in (ti - dd, ti + dd) if dd else (ti,):
+            k = np.flatnonzero((row >= 0) & (row < res) & ~hit)
+            base = row[k] * res
+            lo_i = start[base + np.clip(tj[k] - w, 0, res)]
+            n = start[base + np.clip(tj[k] + w + 1, 0, res)] - lo_i
+            owner = np.repeat(k, n)
+            j = np.arange(owner.size) + np.repeat(lo_i - (np.cumsum(n) - n), n)
+            dx, dy = at[owner, 0] - by_cell[j, 0], at[owner, 1] - by_cell[j, 1]
+            hit[owner[np.sqrt(dx * dx + dy * dy) <= radius]] = True
+    uncovered[ti, tj] = ~hit
+    return uncovered
+
+
+def _largest_cluster(grid: np.ndarray) -> int:
+    """Cells in the largest 4-connected cluster of ``grid``, by run-length labelling."""
+    res = grid.shape[1]
+    step = np.diff(grid.astype(np.int8), prepend=0, append=0, axis=1)
+    row, begin = np.nonzero(step == 1)
+    end = np.nonzero(step == -1)[1]
+    if row.size == 0:
+        return 0
+    # Runs sorted by (row, column); run b in the next row touches run a when
+    # it ends after a begins and begins before a ends.
+    key = row * (res + 1)
+    lo = np.searchsorted(key + end, key + res + 1 + begin, side="right")
+    hi = np.searchsorted(key + begin, key + res + 1 + end, side="left")
+    n = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(row.size), n)
+    b = np.arange(a.size) + np.repeat(lo - (np.cumsum(n) - n), n)
+    # Hook each edge's larger root onto its smaller one, then flatten the
+    # trees, until both ends of every edge share a root.
+    root = np.arange(row.size)
+    while not np.array_equal(root[a], root[b]):
+        np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    return int(np.bincount(root, weights=end - begin).max())
+
+
 def detect_holes(
     s: RangeSample,
     resolution: int,
@@ -148,25 +321,25 @@ def detect_holes(
     true when some 4-connected cluster has at least ``min_cluster`` cells —
     single stray cells are sampling noise, not geometry.
 
-    Raises :class:`DegenerateCloud` when the cloud is (numerically) collinear;
-    hole detection is undecidable there and callers treating the outcome as a
-    verdict should read it as "no hole suspected".
+    Raises :class:`InvalidInstance` for a resolution below 2, a
+    ``coverage_radius`` that is not positive and finite, or a ``min_cluster``
+    below 1.  Raises :class:`DegenerateCloud` when the cloud is (numerically)
+    collinear; hole detection is undecidable there and callers treating the
+    outcome as a verdict should read it as "no hole suspected".
     """
-    from scipy import ndimage
-    from scipy.spatial import ConvexHull, QhullError, cKDTree
-
     if resolution < 2:
         raise InvalidInstance(f"resolution must be at least 2, got {resolution}")
+    if coverage_radius is not None and not (coverage_radius > 0.0 and math.isfinite(coverage_radius)):
+        raise InvalidInstance(f"coverage radius must be positive and finite, got {coverage_radius}")
+    if min_cluster < 1:
+        raise InvalidInstance(f"minimum cluster size must be at least 1, got {min_cluster}")
     pts = s.points
     if pts.shape[0] < 3:
         raise DegenerateCloud("need at least 3 points to form a hull with interior")
     spread = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
     if spread[1] <= 1e-12 * max(spread[0], np.finfo(float).tiny):
         raise DegenerateCloud("sampled range cloud is numerically collinear")
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise DegenerateCloud(f"convex hull construction failed: {exc}") from exc
+    hull_vertices = _convex_hull(pts)
 
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     cell = (hi - lo) / resolution
@@ -178,24 +351,28 @@ def detect_holes(
     gx, gy = np.meshgrid(centers_x, centers_y, indexing="ij")
     centers = np.column_stack([gx.ravel(), gy.ravel()])
 
-    # hull.equations rows are (normal, offset) with unit outward normal, so
-    # the expression below is the signed distance to each facet.
-    signed = centers @ hull.equations[:, :2].T + hull.equations[:, 2]
-    inside = np.all(signed <= -cell_diag, axis=1)
+    # Unit outward facet normals of the counter-clockwise hull, so
+    # ``x*nx + y*ny + off`` is the signed distance to each facet line.  It is
+    # built one facet at a time from the raster's column and row coordinates
+    # with elementwise arithmetic, not a matrix product: BLAS runs a large
+    # product on worker threads, whose speed depends on how busy the other
+    # cores are.
+    edge = np.roll(hull_vertices, -1, axis=0) - hull_vertices
+    normals = np.column_stack([edge[:, 1], -edge[:, 0]]) / np.hypot(edge[:, 0], edge[:, 1])[:, None]
+    offsets = -np.einsum("ij,ij->i", normals, hull_vertices)
+    farthest = np.full((resolution, resolution), -np.inf)
+    signed = np.empty_like(farthest)
+    for (nx, ny), off in zip(normals.tolist(), offsets.tolist()):
+        np.add.outer(centers_x * nx, centers_y * ny, out=signed)
+        signed += off
+        np.maximum(farthest, signed, out=farthest)
+    inside = farthest <= -cell_diag
 
-    uncovered = np.zeros(centers.shape[0], dtype=bool)
-    if np.any(inside):
-        dist, _ = cKDTree(pts).query(centers[inside], k=1)
-        uncovered[inside] = dist > radius
-    grid = uncovered.reshape(resolution, resolution)
+    uncovered = _uncovered(pts, lo, cell, centers, inside, radius)
+    largest = _largest_cluster(uncovered)
 
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    labels, n_clusters = ndimage.label(grid, structure=structure)
-    largest = int(np.bincount(labels.ravel())[1:].max()) if n_clusters else 0
-
-    hole_cells = centers[uncovered]
+    hole_cells = centers[uncovered.ravel()]
     hole_cells.setflags(write=False)
-    hull_vertices = np.ascontiguousarray(pts[hull.vertices])
     hull_vertices.setflags(write=False)
     return HoleReport(
         suspected_nonconvex=bool(largest >= min_cluster),

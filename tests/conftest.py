@@ -13,6 +13,8 @@ import pytest
 from qrange import (
     ProblemInstance,
     QuadraticFunction,
+    RangeSample,
+    SampleMode,
     ToleranceSet,
     compose_affine,
     make_quadratic,
@@ -164,6 +166,28 @@ def _nonzero_uniform(rng: np.random.Generator, low: float = -10.0, high: float =
         value = float(rng.uniform(low, high))
         if abs(value) > 1e-3:
             return value
+
+
+# ---------------------------------------------------------------------------
+# synthetic range clouds for hole detection
+
+
+def annulus_cloud() -> RangeSample:
+    """20000 points uniform in angle and radius on the annulus 2 <= r <= 3."""
+    rng = np.random.default_rng(5)
+    angle = rng.uniform(0, 2 * np.pi, 20_000)
+    radius = rng.uniform(2.0, 3.0, 20_000)
+    pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    return RangeSample(pts, 2, 3.0, pts.shape[0], 5, SampleMode.UNIFORM)
+
+
+def disk_cloud() -> RangeSample:
+    """20000 points uniform on the disk of radius 3."""
+    rng = np.random.default_rng(6)
+    angle = rng.uniform(0, 2 * np.pi, 20_000)
+    radius = np.sqrt(rng.uniform(0.0, 1.0, 20_000)) * 3.0
+    pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    return RangeSample(pts, 2, 3.0, pts.shape[0], 6, SampleMode.UNIFORM)
 
 
 # ---------------------------------------------------------------------------

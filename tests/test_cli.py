@@ -206,3 +206,24 @@ class TestDegenerateSampling:
         assert out == ""
         assert "invalid input" in err and "overflow" in err
         assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--coverage-radius", "nan"),
+            ("--coverage-radius", "inf"),
+            ("--coverage-radius", "-inf"),
+            ("--coverage-radius", "0"),
+            ("--coverage-radius", "-1"),
+            ("--min-cluster", "0"),
+        ],
+    )
+    def test_bad_hole_parameter_is_invalid_input(self, capsys, tmp_path, flag, value):
+        code, out, err = run_cli(
+            capsys, "sample", "--input", CONVEX, "--output", str(tmp_path / "cloud"),
+            "--samples", "2000", "--resolution", "40", f"{flag}={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err
+        assert list(tmp_path.glob("*.csv")) == []

@@ -17,6 +17,7 @@ the files with::
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -66,16 +67,24 @@ def _invocations() -> dict[str, list[str]]:
 INVOCATIONS = _invocations()
 
 
+def _in_dir(argv: list[str], tmp: str) -> list[str]:
+    return [arg.replace(OUT_DIR + "/", tmp + "/") for arg in argv]
+
+
+def _golden_text(stdout: str, tmp: str) -> str:
+    """``stdout`` with paths relative to ``tmp``, then the sha256 of each CSV there."""
+    text = stdout.replace(tmp + "/", "")
+    for csv in sorted(Path(tmp).iterdir()):
+        text += f"{hashlib.sha256(csv.read_bytes()).hexdigest()}  {csv.name}\n"
+    return text
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
-        prefix = tmp + "/"
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main([arg.replace(OUT_DIR + "/", prefix) for arg in argv])
-        text = out.getvalue().replace(prefix, "")
-        for csv in sorted(Path(tmp).iterdir()):
-            text += f"{hashlib.sha256(csv.read_bytes()).hexdigest()}  {csv.name}\n"
-    return code, text
+            code = main(_in_dir(argv, tmp))
+        return code, _golden_text(out.getvalue(), tmp)
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
@@ -101,6 +110,18 @@ print(json.dumps({"results": results, "scipy_loaded": "scipy" in sys.modules}))
 """
 
 
+def _run_fresh(runs: dict[str, list[str]]) -> tuple[dict[str, list], bool]:
+    """Exit code and stdout per run from one fresh interpreter, and whether it loaded SciPy."""
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER],
+        input=json.dumps(runs), capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    doc = json.loads(proc.stdout)
+    return doc["results"], doc["scipy_loaded"]
+
+
 def test_decision_commands_match_golden_without_scipy():
     """A fresh interpreter reproduces the decision goldens and never imports SciPy.
 
@@ -113,19 +134,44 @@ def test_decision_commands_match_golden_without_scipy():
         for command in ("check", "cross-check", "witness")
     }
     assert len(runs) == 24
-    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_INTERPRETER],
-        input=json.dumps(runs), capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    doc = json.loads(proc.stdout)
+    results, scipy_loaded = _run_fresh(runs)
     codes = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
     for name in runs:
-        code, out = doc["results"][name]
+        code, out = results[name]
         assert out == (GOLDEN_DIR / f"{name}.stdout").read_text(encoding="utf-8"), name
         assert code == codes[name], name
-    assert doc["scipy_loaded"] is False
+    assert scipy_loaded is False
+
+
+def test_sample_commands_match_golden_without_scipy(tmp_path):
+    """A fresh interpreter reproduces the ``sample`` goldens, CSV bytes included, without SciPy."""
+    names = sorted(name for name in INVOCATIONS if name.startswith("sample-"))
+    assert len(names) == 3
+    dirs = {name: tmp_path / name for name in names}
+    for d in dirs.values():
+        d.mkdir()
+    results, scipy_loaded = _run_fresh({name: _in_dir(INVOCATIONS[name], str(dirs[name])) for name in names})
+    codes = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+    for name in names:
+        code, out = results[name]
+        assert _golden_text(out, str(dirs[name])) == (GOLDEN_DIR / f"{name}.stdout").read_text(encoding="utf-8"), name
+        assert code == codes[name], name
+    assert scipy_loaded is False
+
+
+def test_package_never_imports_scipy():
+    """SciPy is a test dependency only: no module under ``src/qrange`` imports it."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "qrange").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+    assert offenders == []
 
 
 def test_every_golden_file_has_an_invocation():

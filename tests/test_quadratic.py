@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ class TestMakeQuadratic:
     def test_large_asymmetry_rejected(self):
         with pytest.raises(AsymmetricInput):
             make_quadratic([[1.0, 2.0], [0.0, 3.0]], [0.0, 0.0], 0.0)
+
+    def test_huge_asymmetry_rejected_without_overflow(self):
+        # The Frobenius norm of M itself overflows to inf here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AsymmetricInput, match="exceeds tolerance"):
+                make_quadratic([[1e200, 1e200], [0.0, 1e200]], [0.0, 0.0], 0.0)
+            f = make_quadratic([[1e200, 1e200], [1e200, 1e200]], [0.0, 0.0], 0.0)
+        assert np.array_equal(f.A, np.full((2, 2), 1e200))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):

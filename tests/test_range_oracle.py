@@ -17,6 +17,7 @@ from qrange import (
     make_quadratic,
     sample_range,
 )
+from conftest import annulus_cloud, disk_cloud
 
 
 def saddle_pair() -> ProblemInstance:
@@ -108,23 +109,44 @@ class TestDetectHoles:
         with pytest.raises(DegenerateCloud):
             detect_holes(s, 10)
 
+    def test_flat_hull_raises(self):
+        # Not collinear by the SVD gate, but the apex is closer to the base
+        # line than the hull's collinearity margin at this magnitude.
+        pts = np.array([[1e10, 1e10], [1e10 + 1.0, 1e10], [1e10 + 0.5, 1e10 + 1e-5]])
+        s = RangeSample(pts, 2, 1.0, 3, 0, SampleMode.UNIFORM)
+        with pytest.raises(DegenerateCloud, match="2 vertices"):
+            detect_holes(s, 10)
+
+    def test_hull_counter_clockwise_from_smallest_vertex(self):
+        report = detect_holes(annulus_cloud(), 50)
+        v = report.hull_vertices
+        assert np.array_equal(v[0], min(v.tolist()))
+        edge = np.roll(v, -1, axis=0) - v
+        turn = edge[:, 0] * np.roll(edge[:, 1], -1) - edge[:, 1] * np.roll(edge[:, 0], -1)
+        assert np.all(turn > 0)
+
+    def test_huge_coverage_radius_covers_everything(self):
+        report = detect_holes(annulus_cloud(), 100, coverage_radius=1e300)
+        assert report.hole_cells.shape == (0, 2)
+        assert report.largest_cluster == 0
+        assert not report.suspected_nonconvex
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_coverage_radius_rejected(self, radius):
+        with pytest.raises(InvalidInstance, match="coverage radius"):
+            detect_holes(disk_cloud(), 20, coverage_radius=radius)
+
+    def test_bad_min_cluster_rejected(self):
+        with pytest.raises(InvalidInstance, match="cluster"):
+            detect_holes(disk_cloud(), 20, min_cluster=0)
+
     def test_synthetic_annulus_has_hole(self):
-        rng = np.random.default_rng(5)
-        angle = rng.uniform(0, 2 * np.pi, 20_000)
-        radius = rng.uniform(2.0, 3.0, 20_000)
-        pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-        s = RangeSample(pts, 2, 3.0, pts.shape[0], 5, SampleMode.UNIFORM)
-        report = detect_holes(s, 100)
+        report = detect_holes(annulus_cloud(), 100)
         assert report.suspected_nonconvex
         assert report.largest_cluster > 20
 
     def test_synthetic_disk_clean(self):
-        rng = np.random.default_rng(6)
-        angle = rng.uniform(0, 2 * np.pi, 20_000)
-        radius = np.sqrt(rng.uniform(0.0, 1.0, 20_000)) * 3.0
-        pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-        s = RangeSample(pts, 2, 3.0, pts.shape[0], 6, SampleMode.UNIFORM)
-        report = detect_holes(s, 100)
+        report = detect_holes(disk_cloud(), 100)
         assert not report.suspected_nonconvex
 
 
