@@ -200,17 +200,16 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
     if not dependent:
         return _convex(path, swapped)
 
-    f, g, ratio, c, hp = red.f, red.g, projected, red.c, red.hyperplane
-    c_in = not red.c_zero and hp.c_in
-    passes2 = hp.a_in and c_in
+    f, g, ratio, hp = red.f, red.g, projected, red.hyperplane
+    passes2 = hp.a_in and hp.c_in
     record2 = {
         "step": 2,
         "check": "combined_gradient_and_ranges",
         "pencil_ratio": ratio,
-        "combined_gradient": c.tolist(),
-        "gradient_zero": red.c_zero,
+        "combined_gradient": hp.c.tolist(),
+        "gradient_zero": hp.c_zero,
         "linear_term_in_range": bool(hp.a_in),
-        "gradient_in_range": bool(c_in),
+        "gradient_in_range": bool(hp.c_in),
         "outcome": "continue" if passes2 else "convex_gradient_conditions",
     }
     path.append(record2)
@@ -325,16 +324,15 @@ def _check_flores_bazan(red: _PairReduction) -> FBReport:
         return FBReport(VERDICT_CONVEX, swapped, None, conditions)
 
     hp = red.hyperplane
-    ine, a_in, b_in = hp.ine, hp.a_in, red.b_in
+    ine, a_in, b_in = hp.ine, hp.a_in, hp.in_range(red.g.a, red.g_scale)
     conditions["linear_terms_in_column_space"] = {"f": bool(a_in), "g": bool(b_in)}
-    c_zero = red.c_zero
-    conditions["combined_gradient_nonzero"] = not c_zero
+    conditions["combined_gradient_nonzero"] = not hp.c_zero
 
     certificate: np.ndarray | None = None
     for label, direction_sign in (("candidate_pos", +1), ("candidate_neg", -1)):
         d = direction_sign * np.array([1.0, ratio])
         attains = (ine.n_neg if direction_sign > 0 else ine.n_pos) >= 1
-        if c_zero:
+        if hp.c_zero:
             definite = False
         elif direction_sign > 0:
             definite = hp.ine_w.n_neg == 0 and ine.n_neg == 1

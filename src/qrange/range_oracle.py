@@ -333,9 +333,13 @@ def detect_holes(
         raise InvalidInstance(f"coverage radius must be positive and finite, got {coverage_radius}")
     if min_cluster < 1:
         raise InvalidInstance(f"minimum cluster size must be at least 1, got {min_cluster}")
-    pts = s.points
-    if pts.shape[0] < 3:
+    if s.points.shape[0] < 3:
         raise DegenerateCloud("need at least 3 points to form a hull with interior")
+    # Work on the cloud divided by the power of two of its largest |coordinate|
+    # and scale the results back: both steps are exact, so no decision moves,
+    # and cross products neither overflow nor underflow at extreme scales.
+    _, e = np.frexp(np.abs(s.points).max())
+    pts = np.ldexp(s.points, -e)
     spread = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
     if spread[1] <= 1e-12 * max(spread[0], np.finfo(float).tiny):
         raise DegenerateCloud("sampled range cloud is numerically collinear")
@@ -344,7 +348,13 @@ def detect_holes(
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     cell = (hi - lo) / resolution
     cell_diag = float(np.linalg.norm(cell))
-    radius = 2.0 * cell_diag if coverage_radius is None else float(coverage_radius)
+    if coverage_radius is None:
+        radius = 2.0 * cell_diag
+        coverage_radius = float(np.ldexp(radius, e))
+    else:
+        # A radius that overflows here dwarfs the cloud; inf covers the same centers.
+        with np.errstate(over="ignore"):
+            radius = float(np.ldexp(coverage_radius, -e))
 
     centers_x = lo[0] + (np.arange(resolution) + 0.5) * cell[0]
     centers_y = lo[1] + (np.arange(resolution) + 0.5) * cell[1]
@@ -371,7 +381,8 @@ def detect_holes(
     uncovered = _uncovered(pts, lo, cell, centers, inside, radius)
     largest = _largest_cluster(uncovered)
 
-    hole_cells = centers[uncovered.ravel()]
+    hole_cells = np.ldexp(centers[uncovered.ravel()], e)
+    hull_vertices = np.ldexp(hull_vertices, e)
     hole_cells.setflags(write=False)
     hull_vertices.setflags(write=False)
     return HoleReport(
@@ -379,7 +390,7 @@ def detect_holes(
         hole_cells=hole_cells,
         hull_vertices=hull_vertices,
         resolution=int(resolution),
-        coverage_radius=radius,
+        coverage_radius=float(coverage_radius),
         largest_cluster=largest,
     )
 

@@ -149,6 +149,15 @@ class LevelPairReport:
     ratio_f_on_g: float | None
 
 
+def _norms(f: QuadraticFunction) -> tuple[float, float]:
+    """``(||f.A||_F, ||f.a||)``; :class:`InvalidInstance` when they overflow."""
+    with np.errstate(over="ignore"):
+        norms = float(np.linalg.norm(f.A)), float(np.linalg.norm(f.a))
+    if not np.isfinite(sum(norms)):
+        raise InvalidInstance("coefficient norms overflow the float range")
+    return norms
+
+
 class HyperplaneReduction:
     """The spectral facts of a quadratic ``f`` relative to a direction ``c``.
 
@@ -160,12 +169,24 @@ class HyperplaneReduction:
     constant, and ``c`` and ``2c`` give bit-identical ``V`` and ``W``, so one
     reduction along the combined gradient ``c`` also serves the level form
     with direction ``2c``.
+
+    Tolerances are relative: eigenvalues of ``A`` and ``W`` to ``A``'s
+    spectral norm, ``f``'s other terms to ``scale = ||A||_F + ||a||`` (the
+    constant only shifts the range), and ``c`` to ``c_scale``.
     """
 
-    def __init__(self, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet) -> None:
+    def __init__(self, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet, scale: float, c_scale: float) -> None:
         self.f = f
         self.c = np.asarray(c, dtype=float)
         self.tol = tol
+        self.scale = scale
+        self.c_scale = c_scale
+
+    @classmethod
+    def alone(cls, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet) -> "HyperplaneReduction":
+        """The reduction of ``f`` along a ``c`` given on its own, so ``c_scale = ||c||``."""
+        c = np.asarray(c, dtype=float)
+        return cls(f, c, tol, sum(_norms(f)), float(np.linalg.norm(c)))
 
     @cached_property
     def sd(self) -> SpectralData:
@@ -173,15 +194,26 @@ class HyperplaneReduction:
 
     @cached_property
     def ine(self) -> Inertia:
-        return inertia(self.sd, self.tol.tol_eig)
+        return inertia(self.sd, self.tol.tol_eig * self.sd.spectral_norm)
+
+    def in_range(self, v: np.ndarray, scale: float) -> bool:
+        """Is ``v``, formed from terms of magnitude ``scale``, in the column space of ``A``?"""
+        tol_rank = self.tol.tol_rank
+        return range_membership(self.sd, v, tol_rank * self.sd.spectral_norm, tol_rank * scale)
 
     @cached_property
     def a_in(self) -> bool:
-        return range_membership(self.sd, self.f.a, self.tol.tol_rank)
+        return self.in_range(self.f.a, self.scale)
 
     @cached_property
     def c_in(self) -> bool:
-        return range_membership(self.sd, self.c, self.tol.tol_rank)
+        return not self.c_zero and self.in_range(self.c, self.c_scale)
+
+    @cached_property
+    def c_zero(self) -> bool:
+        # c can vanish by cancellation, so measure it against the magnitudes
+        # that entered the subtraction.
+        return float(np.linalg.norm(self.c)) <= self.tol.tol_dep * self.c_scale
 
     @cached_property
     def V(self) -> np.ndarray:
@@ -198,7 +230,23 @@ class HyperplaneReduction:
 
     @cached_property
     def ine_w(self) -> Inertia:
-        return inertia(self.sd_w, self.tol.tol_psd)
+        return inertia(self.sd_w, self.tol.tol_psd * self.sd.spectral_norm)
+
+    def margin_terms(
+        self, sd_w: SpectralData, w: np.ndarray, x0: np.ndarray, value: float
+    ) -> tuple[float | None, float]:
+        """The term ``w' pinv(W) w`` at a foot point ``x0``, and the threshold its margin must exceed.
+
+        ``sd_w`` decomposes ``W`` or ``-W``; the term is ``None`` when the
+        projected gradient ``w`` lies off their column space.  Each test is a
+        tolerance times the size of what it compares: with ``r = 1 + ||x0||``,
+        ``scale * r`` bounds ``||A x0 + a||``, and ``value >= |F(x0)|``, the
+        term and ``scale * r**2`` bound the margin ``F(x0) - term``.
+        """
+        r = 1.0 + float(np.linalg.norm(x0))
+        tol_rank = self.tol.tol_rank
+        quad = apply_pseudoinverse(sd_w, w, tol_rank * self.sd.spectral_norm, tol_rank * self.scale * r)
+        return quad, self.tol.tol_psd * (value + abs(quad or 0.0) + self.scale * r * r)
 
     def failed_conditions(self, sign: int) -> tuple[str, ...]:
         """The orientation conditions that ``sign * f`` fails; empty means they all hold.
@@ -212,7 +260,7 @@ class HyperplaneReduction:
             labels.append(COND_ONE_NEGATIVE)
         if not self.a_in:
             labels.append(COND_LINEAR_IN_RANGE)
-        if float(np.linalg.norm(self.c)) == 0.0:
+        if self.c_zero:
             labels.append(COND_GRADIENT_NONZERO)
             return tuple(labels)
         if not self.c_in:
@@ -226,36 +274,29 @@ class _PairReduction:
     """The pair ``(f, g)`` reduced once, shared by every consumer.
 
     Construction runs the degenerate screen and the role swap; the pencil
-    fit, the combined gradient ``c = -ratio*f.a + g.a``, its zero test, the
-    :class:`HyperplaneReduction` of ``f`` along ``c`` and the membership
-    ``g.a in range(f.A)`` are computed on first use.  After the swap, ``f``
-    and ``g`` are the analysed pair.
+    fit and the :class:`HyperplaneReduction` of ``f`` along the combined
+    gradient ``c = -ratio*f.a + g.a`` are computed on first use.  After the
+    swap, ``f`` and ``g`` are the analysed pair, and ``f_scale`` and
+    ``g_scale`` their magnitudes ``||A||_F + ||a||``.
     """
 
     def __init__(self, f: QuadraticFunction, g: QuadraticFunction, tol: ToleranceSet) -> None:
         self.tol = tol
-        self.norms = norms = {
-            "f_matrix": float(np.linalg.norm(f.A)),
-            "g_matrix": float(np.linalg.norm(g.A)),
-            "f_linear": float(np.linalg.norm(f.a)),
-            "g_linear": float(np.linalg.norm(g.a)),
-        }
-        # Each object is "zero" relative to the larger of 1 and the pair's
-        # shared scale, so a pair like (1e-14 * M, M) screens the tiny member
-        # as zero.
-        mat_scale = max(1.0, norms["f_matrix"], norms["g_matrix"])
-        vec_scale = max(1.0, norms["f_linear"], norms["g_linear"])
-        self.fa_zero = norms["f_matrix"] <= tol.tol_dep * mat_scale
-        self.ga_zero = norms["g_matrix"] <= tol.tol_dep * mat_scale
-        self.a_zero = norms["f_linear"] <= tol.tol_dep * vec_scale
-        self.b_zero = norms["g_linear"] <= tol.tol_dep * vec_scale
+        (fm, fl), (gm, gl) = _norms(f), _norms(g)
+        self.norms = {"f_matrix": fm, "g_matrix": gm, "f_linear": fl, "g_linear": gl}
+        # Each part is "zero" relative to its own function's magnitude.
+        self.fa_zero = fm <= tol.tol_dep * (fm + fl)
+        self.ga_zero = gm <= tol.tol_dep * (gm + gl)
+        self.a_zero = fl <= tol.tol_dep * (fm + fl)
+        self.b_zero = gl <= tol.tol_dep * (gm + gl)
         self.swapped = bool(self.fa_zero and not self.ga_zero)
         self.f, self.g = (g, f) if self.swapped else (f, g)
+        self.f_scale, self.g_scale = (gm + gl, fm + fl) if self.swapped else (fm + fl, gm + gl)
 
     @cached_property
     def pencil(self) -> tuple[float, float, bool]:
         """Projected ratio, residual and dependence verdict of ``g.A`` on ``f.A``."""
-        return pencil_dependence(self.f.A, self.g.A, self.tol.tol_dep)
+        return pencil_dependence(self.f.A, self.g.A, self.tol.tol_dep * self.g_scale)
 
     @property
     def ratio(self) -> float | None:
@@ -263,25 +304,11 @@ class _PairReduction:
         return ratio if dependent else None
 
     @cached_property
-    def c(self) -> np.ndarray:
-        return -self.ratio * self.f.a + self.g.a
-
-    @cached_property
-    def c_zero(self) -> bool:
-        # c can vanish by cancellation, so measure it against the magnitudes
-        # that entered the subtraction.
-        scale = max(
-            1.0, abs(self.ratio) * float(np.linalg.norm(self.f.a)) + float(np.linalg.norm(self.g.a))
-        )
-        return float(np.linalg.norm(self.c)) <= self.tol.tol_dep * scale
-
-    @cached_property
     def hyperplane(self) -> HyperplaneReduction:
-        return HyperplaneReduction(self.f, self.c, self.tol)
-
-    @cached_property
-    def b_in(self) -> bool:
-        return range_membership(self.hyperplane.sd, self.g.a, self.tol.tol_rank)
+        # The terms of c are bounded by those of g - ratio * f.
+        c = -self.ratio * self.f.a + self.g.a
+        c_scale = abs(self.ratio) * self.f_scale + self.g_scale
+        return HyperplaneReduction(self.f, c, self.tol, self.f_scale, c_scale)
 
 
 def combination_affine_form(
@@ -310,7 +337,7 @@ def affine_separates_quadratic(
     tol = tol or ToleranceSet()
     if h.n != f.n:
         raise DimensionMismatch(f"affine form on dimension {h.n}, quadratic on {f.n}")
-    return _affine_separates(f, h, HyperplaneReduction(f, h.c, tol))
+    return _affine_separates(f, h, HyperplaneReduction.alone(f, h.c, tol))
 
 
 def _affine_separates(
@@ -320,22 +347,19 @@ def _affine_separates(
 
     ``red`` reduces ``f`` up to a constant shift, along ``h.c`` or ``h.c / 2``.
     """
-    tol = red.tol
-    norm_c = float(np.linalg.norm(h.c))
-    if norm_c == 0.0:
+    if red.c_zero:
         failed = {sign: red.failed_conditions(sign) for sign in (+1, -1)}
         return SeparationReport(False, None, None, None, failed, False)
 
+    norm_c = float(np.linalg.norm(h.c))
     unit_c = h.c / norm_c
     x0 = -(h.c0 / norm_c) * unit_c
     w_plus = red.V.T @ (f.A @ x0 + f.a)
     f_x0 = evaluate(f, x0)
-    threshold = tol.tol_psd * max(1.0, abs(f_x0))
     # The two orientations share all spectral work: negating f negates the
     # restricted form and its pseudoinverse term, so the margins are exact
     # negatives of one another (hence at most one orientation can pass).
-    # None means w_plus lies outside the restricted form's column space.
-    quad_term = apply_pseudoinverse(red.sd_w, w_plus, tol.tol_rank)
+    quad_term, threshold = red.margin_terms(red.sd_w, w_plus, x0, abs(f_x0))
 
     failed: dict[int, tuple[str, ...]] = {}
     near_degenerate = False
@@ -387,10 +411,8 @@ def exists_separating_affine_levels(
       space by construction;
     * push ``alpha`` to ``f(foot) - s*(pinv_term + m)``, which makes the
       strictness margin ``m`` for orientation ``s`` (small levels for the
-      ``+1`` orientation, large ones for ``-1``).  ``m`` is 1 unless
-      ``|pinv_term|`` is large: then it is
-      ``2*tol_psd*|pinv_term| / (1 - tol_psd)``, twice the smallest margin
-      that clears the relative threshold of the separation check.
+      ``+1`` orientation, large ones for ``-1``).  ``m`` is 1 unless twice
+      the separation check's threshold, over ``1 - tol_psd``, is larger.
     """
     tol = tol or ToleranceSet()
     c = np.asarray(c, dtype=float)
@@ -398,7 +420,7 @@ def exists_separating_affine_levels(
         raise DimensionMismatch(f"direction has shape {c.shape}, expected ({f.n},)")
     if float(np.linalg.norm(c)) == 0.0:
         raise ZeroVector("level search requires a nonzero direction")
-    red = HyperplaneReduction(f, c, tol)
+    red = HyperplaneReduction.alone(f, c, tol)
     for sign in (+1, -1):
         if not red.failed_conditions(sign):
             return LevelSearchResult(True, sign, *_separating_levels(red, c, c0, sign))
@@ -422,14 +444,15 @@ def _separating_levels(
     foot = -((c0 - gamma) / norm_c) * (c / norm_c)
     w_bar = V.T @ (A_bar @ foot + a_bar)
     sd_w = red.sd_w if sign > 0 else red.sd_w.negated()
-    quad_term = apply_pseudoinverse(sd_w, w_bar, red.tol.tol_rank)
+    f_foot = evaluate(f, foot)
+    quad_term, bound = red.margin_terms(sd_w, w_bar, foot, abs(f_foot))
     if quad_term is None:
         raise OutOfRange("projected gradient lies outside the restricted form's column space")
-    # _affine_separates needs margin > tol_psd * max(1, |quad_term + margin|);
-    # twice the smallest such margin leaves room for rounding in alpha.
-    tol_psd = red.tol.tol_psd
-    margin = max(1.0, 2.0 * tol_psd * abs(quad_term) / (1.0 - tol_psd))
-    alpha = evaluate(f, foot) - sign * (quad_term + margin)
+    # _affine_separates needs margin > this bound at value |quad_term + margin|.
+    # Twice the smallest such margin clears it, and the |f(foot)| in this
+    # bound also covers the rounding in alpha.
+    margin = max(1.0, 2.0 * bound / (1.0 - red.tol.tol_psd))
+    alpha = f_foot - sign * (quad_term + margin)
     return gamma, alpha
 
 
@@ -490,7 +513,7 @@ def construct_separation_witness(
     of the hyperplane.
     """
     tol = tol or ToleranceSet()
-    return _separation_witness(HyperplaneReduction(f, h.c, tol), h, report, alpha)
+    return _separation_witness(HyperplaneReduction.alone(f, h.c, tol), h, report, alpha)
 
 
 def _separation_witness(

@@ -3,23 +3,8 @@
 A matrix is decomposed once by :func:`eigh`; :func:`inertia`,
 :func:`range_membership` and :func:`apply_pseudoinverse` take the resulting
 :class:`SpectralData`, so each column-space question is one projection onto
-an eigenbasis already in hand.
-
-The eigenvalue-sign, column-space and pencil tests are decided here:
-
-* eigenvalue signs are classified against ``tol * max(1, spectral_norm)``;
-* column-space membership keeps eigenspaces with ``|eig| > tol * spectral_norm``
-  and accepts a residual up to ``tol * max(1, ||v||)``;
-* pencil dependence projects one matrix on the other in the Frobenius inner
-  product and accepts a residual up to ``tol * max(||A||_F, ||B||_F)``.
-
-The other tolerance tests live with their callers.  ``separation._PairReduction``
-screens zero matrices, linear terms and combined gradient against ``tol_dep``
-times a floored pair scale; ``separation._affine_separates`` compares the
-strictness margin with ``tol_psd * max(1, |f(x0)|)``, and
-``separation._separating_levels`` sizes the margin it builds to clear that;
-``separation._separation_witness`` and ``convexity.verify_certificate`` accept
-witness points within ``tol_residual * max(1, |level|)``.
+an eigenbasis already in hand.  Every threshold comes from the caller's
+reduction, sized by the scale of the function it tests.
 """
 
 from __future__ import annotations
@@ -99,9 +84,8 @@ def eigh(M: np.ndarray) -> SpectralData:
     return SpectralData(vals, vecs, float(np.max(np.abs(vals))))
 
 
-def inertia(s: SpectralData, tol_eig: float) -> Inertia:
-    """Count eigenvalue signs; |eig| <= tol_eig * max(1, spectral_norm) counts as zero."""
-    thr = tol_eig * max(1.0, s.spectral_norm)
+def inertia(s: SpectralData, thr: float) -> Inertia:
+    """Count eigenvalue signs; ``|eig| <= thr`` counts as zero."""
     n_neg = int(np.sum(s.eigenvalues < -thr))
     n_pos = int(np.sum(s.eigenvalues > thr))
     return Inertia(n_neg, len(s.eigenvalues) - n_neg - n_pos, n_pos)
@@ -126,36 +110,35 @@ def null_space_basis(c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(H[:, 1:])
 
 
-def _project(s: SpectralData, v: np.ndarray, tol_rank: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _project(s: SpectralData, v: np.ndarray, cutoff: float, thr: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Coordinates of ``v`` on the column-space eigenvectors and their eigenvalues.
 
-    The column space is spanned by the eigenvectors with
-    ``|eig| > tol_rank * spectral_norm``; ``None`` when the residual of ``v``
-    off it exceeds ``tol_rank * max(1, ||v||)``.
+    The column space is spanned by the eigenvectors with ``|eig| > cutoff``;
+    ``None`` when the residual of ``v`` off it exceeds ``thr``.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (s.eigenvectors.shape[0],):
         raise DimensionMismatch(
             f"vector has shape {v.shape}, expected ({s.eigenvectors.shape[0]},)"
         )
-    keep = np.abs(s.eigenvalues) > tol_rank * s.spectral_norm
+    keep = np.abs(s.eigenvalues) > cutoff
     Q = s.eigenvectors[:, keep]
     coords = Q.T @ v
-    if float(np.linalg.norm(v - Q @ coords)) > tol_rank * max(1.0, float(np.linalg.norm(v))):
+    if float(np.linalg.norm(v - Q @ coords)) > thr:
         return None
     return coords, s.eigenvalues[keep]
 
 
-def range_membership(s: SpectralData, v: np.ndarray, tol_rank: float) -> bool:
+def range_membership(s: SpectralData, v: np.ndarray, cutoff: float, thr: float) -> bool:
     """Is ``v`` in the column space of the matrix that ``s`` decomposes?"""
-    return _project(s, v, tol_rank) is not None
+    return _project(s, v, cutoff, thr) is not None
 
 
-def pencil_dependence(A: np.ndarray, B: np.ndarray, tol_dep: float) -> tuple[float, float, bool]:
+def pencil_dependence(A: np.ndarray, B: np.ndarray, thr: float) -> tuple[float, float, bool]:
     """Does ``B = r A`` hold for some ratio ``r``?
 
     Returns the Frobenius projection ``r = <A, B> / <A, A>``, the residual
-    ``||B - r A||_F``, and the verdict ``residual <= tol_dep * max(||A||_F, ||B||_F)``.
+    ``||B - r A||_F``, and the verdict ``residual <= thr``.
     ``A`` must be nonzero (:class:`ZeroMatrix` otherwise).
     """
     A = np.asarray(A, dtype=float)
@@ -167,11 +150,10 @@ def pencil_dependence(A: np.ndarray, B: np.ndarray, tol_dep: float) -> tuple[flo
         raise ZeroMatrix("pencil base matrix is zero")
     ratio = float(np.sum(A * B)) / denom
     residual = float(np.linalg.norm(B - ratio * A))
-    scale = max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))
-    return ratio, residual, residual <= tol_dep * scale
+    return ratio, residual, residual <= thr
 
 
-def apply_pseudoinverse(s: SpectralData, w: np.ndarray, tol_rank: float) -> float | None:
+def apply_pseudoinverse(s: SpectralData, w: np.ndarray, cutoff: float, thr: float) -> float | None:
     """The quadratic form ``w' pinv(M) w`` for the symmetric ``M`` that ``s`` decomposes.
 
     Computed spectrally as ``sum (q_i'w)^2 / eig_i`` over the column-space
@@ -179,7 +161,7 @@ def apply_pseudoinverse(s: SpectralData, w: np.ndarray, tol_rank: float) -> floa
     that column space.  (Intended for semidefinite ``M``, where the sign of
     the result matches the sign of ``M``.)
     """
-    parts = _project(s, w, tol_rank)
+    parts = _project(s, w, cutoff, thr)
     if parts is None:
         return None
     coords, vals = parts

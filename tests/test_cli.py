@@ -65,6 +65,17 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "check", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["check", "fb-check", "witness", "cross-check"])
+    def test_overflowing_norms_are_invalid_input(self, capsys, tmp_path, command):
+        # Finite coefficients whose norms overflow, so no threshold can be sized.
+        p = load_problem(SPLIT)
+        path = tmp_path / "huge.json"
+        save_problem(ProblemInstance(p.f.scaled(1e306), p.g.scaled(1e306)), str(path))
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "invalid input: coefficient norms overflow the float range\n"
+
 
 class TestCheckCommand:
     def test_envelope_shape(self, capsys):

@@ -253,8 +253,12 @@ class TestInvarianceProperties:
         for _ in range(20):
             p = random_instance(rng)
             base = check_convexity(p).verdict
-            shifted = ProblemInstance(p.f.add_constant(3.7), p.g.add_constant(-2.2), p.tolerances)
-            assert check_convexity(shifted).verdict == base
+            # The built margin also clears the rounding of levels near 1e16.
+            for df, dg in ((3.7, -2.2), (1e16, -1e16)):
+                shifted = ProblemInstance(p.f.add_constant(df), p.g.add_constant(dg), p.tolerances)
+                cert = check_convexity(shifted)
+                assert cert.verdict == base
+                assert verify_certificate(shifted, cert)["valid"]
 
     def test_value_scaling_preserves_verdict(self):
         rng = np.random.default_rng(57)
@@ -263,6 +267,21 @@ class TestInvarianceProperties:
             base = check_convexity(p).verdict
             scaled = ProblemInstance(p.f.scaled(-4.5), p.g.scaled(0.25), p.tolerances)
             assert check_convexity(scaled).verdict == base
+        # Every threshold scales with its function, so neither exact common
+        # factors 2^k nor independent factors over 16 decades move a verdict,
+        # and every certificate built at those scales verifies.
+        rng = np.random.default_rng(5)
+        draws = [random_instance(rng) for _ in range(4000)]
+        independent = 10.0 ** np.random.default_rng(11).uniform(-8.0, 8.0, size=(4000, 2))
+        common = [(2.0**k, 2.0**k) for k in (-40, -27, -14, 14, 27, 40)]
+        for i, p in enumerate(draws):
+            base = check_convexity(p).verdict
+            for s, t in common + [tuple(independent[i])]:
+                scaled = ProblemInstance(p.f.scaled(s), p.g.scaled(t), p.tolerances)
+                cert = check_convexity(scaled)
+                assert cert.verdict == base, (i, s, t)
+                if cert.verdict == VERDICT_NONCONVEX:
+                    assert verify_certificate(scaled, cert)["valid"], (i, s, t)
 
     def test_large_scale_certificate_verifies(self):
         # At 1e10 the pseudoinverse term is large enough that a fixed margin

@@ -126,10 +126,14 @@ class TestDetectHoles:
         assert np.all(turn > 0)
 
     def test_huge_coverage_radius_covers_everything(self):
-        report = detect_holes(annulus_cloud(), 100, coverage_radius=1e300)
-        assert report.hole_cells.shape == (0, 2)
-        assert report.largest_cluster == 0
-        assert not report.suspected_nonconvex
+        # On the cloud scaled by 2^-60 the radius relative to its size overflows.
+        cloud = annulus_cloud()
+        for pts in (cloud.points, np.ldexp(cloud.points, -60)):
+            report = detect_holes(RangeSample(pts, 2, 3.0, pts.shape[0], 5, SampleMode.UNIFORM), 100, coverage_radius=1e300)
+            assert report.hole_cells.shape == (0, 2)
+            assert report.largest_cluster == 0
+            assert not report.suspected_nonconvex
+            assert report.coverage_radius == 1e300
 
     @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_coverage_radius_rejected(self, radius):
@@ -148,6 +152,21 @@ class TestDetectHoles:
     def test_synthetic_disk_clean(self):
         report = detect_holes(disk_cloud(), 100)
         assert not report.suspected_nonconvex
+
+    @pytest.mark.parametrize("k", [996, -996])
+    def test_power_of_two_scaling_moves_no_decision(self, k):
+        # At 2^996 the hull's cross products overflow and at 2^-996 they
+        # underflow, unless the cloud is first brought to unit size.
+        p = saddle_pair()
+        base = detect_holes(sample_range(p, 5.0, 20_000, seed=0), 100)
+        cloud = sample_range(ProblemInstance(p.f.scaled(2.0**k), p.g.scaled(2.0**k)), 5.0, 20_000, seed=0)
+        with np.errstate(all="raise"):
+            report = detect_holes(cloud, 100)
+        assert base.largest_cluster > 20 and report.suspected_nonconvex
+        assert report.largest_cluster == base.largest_cluster
+        assert np.array_equal(report.hole_cells, np.ldexp(base.hole_cells, k))
+        assert np.array_equal(report.hull_vertices, np.ldexp(base.hull_vertices, k))
+        assert report.coverage_radius == np.ldexp(base.coverage_radius, k)
 
 
 class TestEmitPlotData:

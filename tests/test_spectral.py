@@ -23,6 +23,23 @@ TOL_RANK = 1e-9
 TOL_DEP = 1e-9
 
 
+def signs(M, scale=None):
+    """Inertia of ``M`` with the zero threshold ``TOL_EIG * scale`` (default: its spectral norm)."""
+    sd = eigh(M)
+    return inertia(sd, TOL_EIG * (sd.spectral_norm if scale is None else scale)).as_tuple()
+
+
+def member(M, v, scale=1.0):
+    """Range membership with the rank cutoff relative to ``M`` and the residual to ``scale``."""
+    sd = eigh(M)
+    return range_membership(sd, v, TOL_RANK * sd.spectral_norm, TOL_RANK * scale)
+
+
+def pinv_form(M, w):
+    sd = eigh(M)
+    return apply_pseudoinverse(sd, w, TOL_RANK * sd.spectral_norm, TOL_RANK)
+
+
 class TestEigh:
     def test_eigenvalues_ascending(self):
         sd = eigh(np.diag([3.0, -1.0, 2.0]))
@@ -47,17 +64,22 @@ class TestEigh:
 
 class TestInertia:
     def test_plain_counts(self):
-        assert inertia(eigh(np.diag([-2.0, 0.0, 3.0])), TOL_EIG).as_tuple() == (1, 1, 1)
+        assert signs(np.diag([-2.0, 0.0, 3.0])) == (1, 1, 1)
 
     def test_threshold_scales_with_norm(self):
         # 1e-6 is a zero next to a 1e6 eigenvalue, but not next to one of size 1
-        big = inertia(eigh(np.diag([1e6, 1e-6])), TOL_EIG)
-        assert big.as_tuple() == (0, 1, 1)
-        small = inertia(eigh(np.diag([1.0, 1e-6])), TOL_EIG)
-        assert small.as_tuple() == (0, 0, 2)
+        assert signs(np.diag([1e6, 1e-6])) == (0, 1, 1)
+        assert signs(np.diag([1.0, 1e-6])) == (0, 0, 2)
+
+    def test_tiny_matrix_judged_against_passed_threshold(self):
+        # a matrix of size 1e-12 keeps its signs against its own scale; only
+        # against a scale of 1 do its eigenvalues count as zero
+        tiny = 1e-12 * np.diag([-1.0, 2.0])
+        assert signs(tiny) == (1, 0, 1)
+        assert signs(tiny, scale=1.0) == (0, 2, 0)
 
     def test_empty(self):
-        assert inertia(eigh(np.zeros((0, 0))), TOL_EIG) == Inertia(0, 0, 0)
+        assert inertia(eigh(np.zeros((0, 0))), 0.0) == Inertia(0, 0, 0)
 
 
 class TestNullSpaceBasis:
@@ -88,13 +110,13 @@ class TestNullSpaceBasis:
 class TestRangeMembership:
     def test_member_of_rank_deficient_range(self):
         target = np.array([4.0, 3.0, 0.0])
-        assert range_membership(eigh(np.diag([2.0, -3.0, 0.0])), target, TOL_RANK)
+        assert member(np.diag([2.0, -3.0, 0.0]), target)
 
     def test_nonmember_detected(self):
-        assert not range_membership(eigh(np.diag([1.0, 0.0])), np.array([0.0, 1.0]), TOL_RANK)
+        assert not member(np.diag([1.0, 0.0]), np.array([0.0, 1.0]))
 
     def test_zero_vector_always_member(self):
-        assert range_membership(eigh(np.zeros((2, 2))), np.zeros(2), TOL_RANK)
+        assert member(np.zeros((2, 2)), np.zeros(2))
 
     def test_rotated_rank_deficient(self):
         rng = np.random.default_rng(9)
@@ -102,12 +124,20 @@ class TestRangeMembership:
         a_mat = (q * np.array([1.5, -0.5, 0.0, 0.0])) @ q.T
         inside = a_mat @ rng.standard_normal(4)
         outside = inside + 0.3 * q[:, 3]
-        assert range_membership(eigh(a_mat), inside, TOL_RANK)
-        assert not range_membership(eigh(a_mat), outside, TOL_RANK)
+        assert member(a_mat, inside)
+        assert not member(a_mat, outside)
+
+    def test_tiny_vector_judged_against_passed_threshold(self):
+        # a residual of 1e-12 is far outside the range next to data of size
+        # 1e-12, and within tolerance only next to data of size 1
+        tiny = 1e-12 * np.diag([1.0, 0.0])
+        off = 1e-12 * np.array([1.0, 1.0])
+        assert not member(tiny, off, scale=1e-12)
+        assert member(tiny, off, scale=1.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            range_membership(eigh(np.eye(2)), np.zeros(3), TOL_RANK)
+            member(np.eye(2), np.zeros(3))
 
 
 class TestApplyPseudoinverse:
@@ -117,18 +147,22 @@ class TestApplyPseudoinverse:
         a_mat = (q * np.array([2.0, -1.0, 0.0])) @ q.T
         w = a_mat @ rng.standard_normal(3)
         expected = float(w @ np.linalg.pinv(a_mat) @ w)
-        assert apply_pseudoinverse(eigh(a_mat), w, TOL_RANK) == pytest.approx(expected, abs=1e-10)
+        assert pinv_form(a_mat, w) == pytest.approx(expected, abs=1e-10)
 
     def test_out_of_range_rejected(self):
-        assert apply_pseudoinverse(eigh(np.diag([1.0, 0.0])), np.array([0.0, 1.0]), TOL_RANK) is None
+        assert pinv_form(np.diag([1.0, 0.0]), np.array([0.0, 1.0])) is None
 
     def test_zero_vector(self):
-        assert apply_pseudoinverse(eigh(np.diag([1.0, 0.0])), np.zeros(2), TOL_RANK) == 0.0
+        assert pinv_form(np.diag([1.0, 0.0]), np.zeros(2)) == 0.0
 
 
 def dependent_ratio(A, B):
-    """The ratio of ``B`` on ``A`` when :func:`pencil_dependence` accepts it, else ``None``."""
-    ratio, residual, dependent = pencil_dependence(A, B, TOL_DEP)
+    """The ratio of ``B`` on ``A`` when :func:`pencil_dependence` accepts it, else ``None``.
+
+    The residual threshold is relative to ``||B||_F``, as the pair reduction
+    sizes it for a second function with no linear term.
+    """
+    ratio, residual, dependent = pencil_dependence(A, B, TOL_DEP * float(np.linalg.norm(B)))
     assert residual == pytest.approx(float(np.linalg.norm(np.asarray(B) - ratio * np.asarray(A))))
     return ratio if dependent else None
 
@@ -165,7 +199,7 @@ class TestPencilDependence:
         assert dependent_ratio(a_mat, b_mat) is None
 
     def test_scale_free_acceptance(self):
-        # the residual test is relative to the pencil scale, so a huge pair
+        # the residual test is relative to the second matrix, so a huge pair
         # with the same shape tolerance behaves like the unit pair
         a_mat = 1e8 * np.diag([1.0, 2.0])
         b_mat = 3.0 * a_mat + 1e-4 * np.array([[0.0, 1.0], [1.0, 0.0]])
