@@ -5,7 +5,10 @@ reproduce the recorded stdout byte for byte, with the recorded exit code.
 This turns "same behaviour" across refactors into a byte comparison.
 ``sample`` writes its CSVs into a fresh directory; its golden holds stdout
 with the output paths made relative to that directory, followed by the
-sha256 of each written CSV in ``sha256sum`` format.
+sha256 of each written CSV in ``sha256sum`` format.  One more golden pins the
+library's decisions on ``differential_batch(20240817, 500)``: the sha256 of
+the canonical JSON of every instance's ``cross_check`` result, certificate,
+Flores-Bazan report and ``verify_certificate`` report.
 
 The bytes are pinned to the environment they were recorded in: NumPy 2.4.6
 with scipy-openblas 0.3.31 (LAPACK eigenvectors and BLAS summation order can
@@ -30,12 +33,17 @@ from pathlib import Path
 
 import pytest
 
+from conftest import differential_batch
+from qrange import cross_check, verify_certificate
 from qrange.cli import main
 from qrange.instances import curated_cases
+from qrange.serialize import canonical_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+BATCH_SEED, BATCH_SIZE = 20240817, 500
+BATCH_DIGEST = GOLDEN_DIR / f"batch-{BATCH_SEED}-{BATCH_SIZE}.sha256"
 SAMPLE_CASE = "saddle_with_line_split"
 DEFAULT_SAMPLE_CASE = "saddle_pair_dependent"
 OUT_DIR = "{out}"
@@ -100,6 +108,7 @@ def test_cli_output_matches_golden(name):
 _FRESH_INTERPRETER = """
 import contextlib, io, json, sys
 from qrange.cli import main
+from qrange.serialize import canonical_json
 results = {}
 for name, argv in json.load(sys.stdin).items():
     out = io.StringIO()
@@ -174,6 +183,26 @@ def test_package_never_imports_scipy():
     assert offenders == []
 
 
+def _batch_digest() -> str:
+    """sha256 of the canonical JSON of every decision the library makes on the batch."""
+    docs = []
+    for p in differential_batch(BATCH_SEED, BATCH_SIZE):
+        result = cross_check(p)
+        docs.append(
+            {
+                "cross_check": result.to_jsonable(),
+                "certificate": result.certificate.to_jsonable(),
+                "fb_report": result.fb_report.to_jsonable(),
+                "verify_certificate": verify_certificate(p, result.certificate),
+            }
+        )
+    return hashlib.sha256(canonical_json(docs).encode("utf-8")).hexdigest()
+
+
+def test_batch_decisions_match_golden_digest():
+    assert _batch_digest() + "\n" == BATCH_DIGEST.read_text(encoding="utf-8")
+
+
 def test_every_golden_file_has_an_invocation():
     recorded = {p.stem for p in GOLDEN_DIR.glob("*.stdout")}
     assert recorded == set(INVOCATIONS)
@@ -186,6 +215,7 @@ def _record() -> None:
         codes[name], out = _run(argv)
         (GOLDEN_DIR / f"{name}.stdout").write_text(out, encoding="utf-8")
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    BATCH_DIGEST.write_text(_batch_digest() + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
