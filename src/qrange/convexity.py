@@ -24,6 +24,7 @@ independent numerical second opinion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -375,8 +376,8 @@ def verify_certificate(p: ProblemInstance, cert: ConvexityCertificate) -> dict[s
     levels = (cert.f_level, cert.g_level)
     # Index of the function whose level the witness hits, and of the other one.
     hit, side = (1, 0) if cert.swapped else (0, 1)
-    fresh_u = np.array([evaluate(p.f, wit.u), evaluate(p.g, wit.u)])
-    fresh_v = np.array([evaluate(p.f, wit.v), evaluate(p.g, wit.v)])
+    fresh_u = (evaluate(p.f, wit.u), evaluate(p.g, wit.u))
+    fresh_v = (evaluate(p.f, wit.v), evaluate(p.g, wit.v))
 
     residual_u = abs(fresh_u[hit] - levels[hit])
     residual_v = abs(fresh_v[hit] - levels[hit])
@@ -384,11 +385,9 @@ def verify_certificate(p: ProblemInstance, cert: ConvexityCertificate) -> dict[s
     levels_hit = residual_u <= tol.tol_residual * level_scale and residual_v <= tol.tol_residual * level_scale
     strictly_straddles = (fresh_u[side] - levels[side]) * (fresh_v[side] - levels[side]) < 0.0
 
-    points_consistent = bool(
-        np.allclose(fresh_u, wit.range_at_u, rtol=1e-12, atol=1e-12)
-        and np.allclose(fresh_v, wit.range_at_v, rtol=1e-12, atol=1e-12)
-    )
-    gap_consistent = bool(np.array_equal(wit.gap_point, levels))
+    stored = wit.range_at_u.tolist() + wit.range_at_v.tolist()
+    points_consistent = all(map(_close, fresh_u + fresh_v, stored))
+    gap_consistent = wit.gap_point.tolist() == list(levels)
 
     return {
         "applicable": True,
@@ -400,6 +399,14 @@ def verify_certificate(p: ProblemInstance, cert: ConvexityCertificate) -> dict[s
         "gap_consistent": gap_consistent,
         "valid": bool(levels_hit and strictly_straddles and points_consistent and gap_consistent),
     }
+
+
+def _close(x: float, y: float) -> bool:
+    """``np.isclose(x, y, rtol=1e-12, atol=1e-12)`` on two floats.
+
+    Equal values are close, infinities included; NaN is close to nothing.
+    """
+    return x == y or (abs(x - y) <= 1e-12 + 1e-12 * abs(y) and math.isfinite(y))
 
 
 def cross_check(p: ProblemInstance) -> CrossCheckResult:

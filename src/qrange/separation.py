@@ -24,8 +24,8 @@ reported as non-separating with ``near_degenerate=True``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .quadratic import QuadraticFunction, ToleranceSet, evaluate
 from .spectral import (
     Inertia,
     SpectralData,
+    _norm,
     apply_pseudoinverse,
     eigh,
     inertia,
@@ -83,7 +84,7 @@ class AffineForm:
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 1 or c.shape[0] == 0:
             raise DimensionMismatch(f"direction must be a nonempty vector, got shape {c.shape}")
-        if not (np.all(np.isfinite(c)) and np.isfinite(self.c0)):
+        if not (np.isfinite(c).all() and np.isfinite(self.c0)):
             raise InvalidInstance("affine form data must be finite")
         c = c.copy()
         c.setflags(write=False)
@@ -149,13 +150,44 @@ class LevelPairReport:
     ratio_f_on_g: float | None
 
 
+# The square root of the smallest normal float: a norm below it has a
+# subnormal square, which has lost precision or flushed to zero.
+_TINY_NORM = 2.0**-511
+
+
 def _norms(f: QuadraticFunction) -> tuple[float, float]:
-    """``(||f.A||_F, ||f.a||)``; :class:`InvalidInstance` when they overflow."""
+    """``(||f.A||_F, ||f.a||)``; :class:`InvalidInstance` when they overflow or underflow.
+
+    A function with nonzero coefficients whose squared norms both lie below
+    the smallest normal float has no magnitude to size a threshold with, so
+    it is rejected like an overflowing one; an all-zero function is kept.
+    """
     with np.errstate(over="ignore"):
-        norms = float(np.linalg.norm(f.A)), float(np.linalg.norm(f.a))
-    if not np.isfinite(sum(norms)):
+        norms = _norm(f.A), _norm(f.a)
+    if not math.isfinite(norms[0] + norms[1]):
         raise InvalidInstance("coefficient norms overflow the float range")
+    if max(norms) < _TINY_NORM and (f.A.any() or f.a.any()):
+        raise InvalidInstance("coefficient norms underflow the float range")
     return norms
+
+
+class _lazy:
+    """An attribute computed on first read and then stored on the instance.
+
+    Unlike ``functools.cached_property`` on Python 3.11 it takes no lock;
+    a reduction is never shared between threads while it fills in.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.fn(obj)
+        return value
 
 
 class HyperplaneReduction:
@@ -186,13 +218,13 @@ class HyperplaneReduction:
     def alone(cls, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet) -> "HyperplaneReduction":
         """The reduction of ``f`` along a ``c`` given on its own, so ``c_scale = ||c||``."""
         c = np.asarray(c, dtype=float)
-        return cls(f, c, tol, sum(_norms(f)), float(np.linalg.norm(c)))
+        return cls(f, c, tol, sum(_norms(f)), _norm(c))
 
-    @cached_property
+    @_lazy
     def sd(self) -> SpectralData:
         return eigh(self.f.A)
 
-    @cached_property
+    @_lazy
     def ine(self) -> Inertia:
         return inertia(self.sd, self.tol.tol_eig * self.sd.spectral_norm)
 
@@ -201,34 +233,34 @@ class HyperplaneReduction:
         tol_rank = self.tol.tol_rank
         return range_membership(self.sd, v, tol_rank * self.sd.spectral_norm, tol_rank * scale)
 
-    @cached_property
+    @_lazy
     def a_in(self) -> bool:
         return self.in_range(self.f.a, self.scale)
 
-    @cached_property
+    @_lazy
     def c_in(self) -> bool:
         return not self.c_zero and self.in_range(self.c, self.c_scale)
 
-    @cached_property
+    @_lazy
     def c_zero(self) -> bool:
         # c can vanish by cancellation, so measure it against the magnitudes
         # that entered the subtraction.
-        return float(np.linalg.norm(self.c)) <= self.tol.tol_dep * self.c_scale
+        return _norm(self.c) <= self.tol.tol_dep * self.c_scale
 
-    @cached_property
+    @_lazy
     def V(self) -> np.ndarray:
         return null_space_basis(self.c)
 
-    @cached_property
+    @_lazy
     def W(self) -> np.ndarray:
         W = self.V.T @ self.f.A @ self.V
         return (W + W.T) / 2.0
 
-    @cached_property
+    @_lazy
     def sd_w(self) -> SpectralData:
         return eigh(self.W)
 
-    @cached_property
+    @_lazy
     def ine_w(self) -> Inertia:
         return inertia(self.sd_w, self.tol.tol_psd * self.sd.spectral_norm)
 
@@ -243,7 +275,7 @@ class HyperplaneReduction:
         ``scale * r`` bounds ``||A x0 + a||``, and ``value >= |F(x0)|``, the
         term and ``scale * r**2`` bound the margin ``F(x0) - term``.
         """
-        r = 1.0 + float(np.linalg.norm(x0))
+        r = 1.0 + _norm(x0)
         tol_rank = self.tol.tol_rank
         quad = apply_pseudoinverse(sd_w, w, tol_rank * self.sd.spectral_norm, tol_rank * self.scale * r)
         return quad, self.tol.tol_psd * (value + abs(quad or 0.0) + self.scale * r * r)
@@ -293,7 +325,7 @@ class _PairReduction:
         self.f, self.g = (g, f) if self.swapped else (f, g)
         self.f_scale, self.g_scale = (gm + gl, fm + fl) if self.swapped else (fm + fl, gm + gl)
 
-    @cached_property
+    @_lazy
     def pencil(self) -> tuple[float, float, bool]:
         """Projected ratio, residual and dependence verdict of ``g.A`` on ``f.A``."""
         return pencil_dependence(self.f.A, self.g.A, self.tol.tol_dep * self.g_scale)
@@ -303,7 +335,7 @@ class _PairReduction:
         ratio, _, dependent = self.pencil
         return ratio if dependent else None
 
-    @cached_property
+    @_lazy
     def hyperplane(self) -> HyperplaneReduction:
         # The terms of c are bounded by those of g - ratio * f.
         c = -self.ratio * self.f.a + self.g.a
@@ -351,7 +383,7 @@ def _affine_separates(
         failed = {sign: red.failed_conditions(sign) for sign in (+1, -1)}
         return SeparationReport(False, None, None, None, failed, False)
 
-    norm_c = float(np.linalg.norm(h.c))
+    norm_c = _norm(h.c)
     unit_c = h.c / norm_c
     x0 = -(h.c0 / norm_c) * unit_c
     w_plus = red.V.T @ (f.A @ x0 + f.a)
@@ -418,7 +450,7 @@ def exists_separating_affine_levels(
     c = np.asarray(c, dtype=float)
     if c.shape != (f.n,):
         raise DimensionMismatch(f"direction has shape {c.shape}, expected ({f.n},)")
-    if float(np.linalg.norm(c)) == 0.0:
+    if _norm(c) == 0.0:
         raise ZeroVector("level search requires a nonzero direction")
     red = HyperplaneReduction.alone(f, c, tol)
     for sign in (+1, -1):
@@ -436,7 +468,7 @@ def _separating_levels(
     ``c`` or ``c / 2``.
     """
     f, V = red.f, red.V
-    norm_c = float(np.linalg.norm(c))
+    norm_c = _norm(c)
     A_bar = sign * f.A
     a_bar = sign * f.a
     u0, *_ = np.linalg.lstsq(V.T @ A_bar, V.T @ a_bar, rcond=None)

@@ -76,6 +76,18 @@ class TestExitCodes:
         assert out == ""
         assert err == "invalid input: coefficient norms overflow the float range\n"
 
+    @pytest.mark.parametrize("command", ["check", "fb-check", "witness", "cross-check"])
+    def test_underflowing_norms_are_invalid_input(self, capsys, tmp_path, command):
+        # Nonzero coefficients whose squared norms underflow: read as zero,
+        # they would screen the NONCONVEX pair as affine.
+        p = load_problem(SPLIT)
+        path = tmp_path / "tiny.json"
+        save_problem(ProblemInstance(p.f.scaled(1e-300), p.g.scaled(1e-300)), str(path))
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "invalid input: coefficient norms underflow the float range\n"
+
 
 class TestCheckCommand:
     def test_envelope_shape(self, capsys):

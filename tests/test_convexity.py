@@ -318,6 +318,50 @@ class TestVerifyCertificate:
         report = verify_certificate(other, cert)
         assert not report["valid"]
 
+    @staticmethod
+    def with_stored_side_value(cert, value):
+        """``cert`` with ``range_at_u`` changed only in the other function's coordinate."""
+        import dataclasses
+
+        stored = cert.witness.range_at_u.copy()
+        stored[0 if cert.swapped else 1] = value
+        return dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, range_at_u=stored))
+
+    @pytest.mark.parametrize("relative_change, consistent", [(1e-9, False), (1e-14, True), (0.0, True)])
+    def test_stored_range_point_tolerance(self, relative_change, consistent):
+        # The stored points must match fresh evaluations to 1e-12 absolute
+        # plus 1e-12 relative, as np.allclose(rtol=1e-12, atol=1e-12) would.
+        p = saddle_pair()
+        cert = check_convexity(p)
+        stored = cert.witness.range_at_u[1]
+        assert stored == -6.0
+        report = verify_certificate(p, self.with_stored_side_value(cert, stored * (1.0 + relative_change)))
+        assert report["points_consistent"] is consistent
+        assert report["valid"] is consistent
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_stored_point_against_finite_value(self, value):
+        p = saddle_pair()
+        report = verify_certificate(p, self.with_stored_side_value(check_convexity(p), value))
+        assert report["points_consistent"] is False
+        assert report["valid"] is False
+
+    def test_equal_infinities_are_consistent(self):
+        import dataclasses
+
+        p = saddle_pair()
+        cert = check_convexity(p)
+        wit = cert.witness
+        # Overflows to +inf at both witness points, (-1, 0) and (1, 0).
+        huge = make_quadratic(np.diag([8e307, 8e307]), np.zeros(2), 1.7e308)
+        stored = [np.array([r[0], np.inf]) for r in (wit.range_at_u, wit.range_at_v)]
+        cert = dataclasses.replace(cert, witness=dataclasses.replace(wit, range_at_u=stored[0], range_at_v=stored[1]))
+        with np.errstate(over="ignore"):
+            assert [evaluate(huge, wit.u), evaluate(huge, wit.v)] == [np.inf, np.inf]
+            report = verify_certificate(ProblemInstance(p.f, huge), cert)
+        assert report["points_consistent"] is True
+        assert report["valid"] is False
+
 
 class TestCrossCheck:
     def test_agreement_and_shape(self):
@@ -383,3 +427,31 @@ class TestSharedReduction:
         calls = spectral_calls("pencil_dependence")
         check_convexity(next(c for c in curated_cases() if c.name == "bowl_vs_sheet_3d").instance)
         assert len(calls) == 1, calls
+
+    @pytest.fixture
+    def numpy_wrapper_calls(self, monkeypatch):
+        """The names of the calls made to ``numpy.linalg.norm`` and ``numpy.allclose``."""
+        calls = []
+        for owner, name in ((np.linalg, "norm"), (np, "allclose")):
+            original = getattr(owner, name)
+
+            def counting(*args, _label=f"{owner.__name__}.{name}", _original=original, **kwargs):
+                calls.append(_label)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
+    def test_certify_calls_no_norm_or_allclose_wrapper(self, numpy_wrapper_calls, case):
+        # The decision path reads norms through spectral._norm and compares
+        # stored points float by float; NumPy's per-call wrappers cost more
+        # than the arithmetic at these sizes.
+        cert = check_convexity(case.instance)
+        assert verify_certificate(case.instance, cert)["valid"]
+        assert numpy_wrapper_calls == []
+
+    @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
+    def test_cross_check_calls_no_norm_or_allclose_wrapper(self, numpy_wrapper_calls, case):
+        assert cross_check(case.instance).agree
+        assert numpy_wrapper_calls == []

@@ -17,6 +17,7 @@ from qrange import (
     pencil_dependence,
     range_membership,
 )
+from qrange.spectral import _norm
 
 TOL_EIG = 1e-9
 TOL_RANK = 1e-9
@@ -204,3 +205,42 @@ class TestPencilDependence:
         a_mat = 1e8 * np.diag([1.0, 2.0])
         b_mat = 3.0 * a_mat + 1e-4 * np.array([[0.0, 1.0], [1.0, 0.0]])
         assert dependent_ratio(a_mat, b_mat) == pytest.approx(3.0, abs=1e-9)
+
+
+class TestNorm:
+    """``_norm`` is ``np.linalg.norm`` without the wrapper, bit for bit."""
+
+    @staticmethod
+    def same_bits(x):
+        with np.errstate(over="ignore"):
+            return _norm(x).hex() == float(np.linalg.norm(x)).hex()
+
+    def test_vectors_and_matrices(self):
+        m = np.arange(12.0).reshape(3, 4) / 7.0
+        for x in (np.array([3.0, -4.0]), m, m.T, m[::2, ::3], m[:, 1], np.asfortranarray(m)):
+            assert self.same_bits(x)
+
+    def test_empty(self):
+        assert _norm(np.empty(0)) == 0.0
+        assert self.same_bits(np.empty(0)) and self.same_bits(np.empty((0, 0)))
+
+    def test_subnormals(self):
+        x = np.array([5e-324, -3e-320, 1e-310])
+        assert _norm(x) == 0.0
+        assert self.same_bits(x) and self.same_bits(np.array([1e-160, 2e-155]))
+
+    def test_squares_that_leave_the_float_range(self):
+        for value, expected in ((1e200, np.inf), (1e-200, 0.0)):
+            x = np.full((3, 3), value)
+            with np.errstate(over="ignore"):
+                assert _norm(x) == expected
+            assert self.same_bits(x) and self.same_bits(x[0])
+
+    def test_random_draws_across_forty_decades(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10_000):
+            shape = (int(rng.integers(1, 9)),) if rng.random() < 0.5 else tuple(rng.integers(1, 9, size=2))
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-20.0, 20.0, size=shape)
+            if x.ndim == 2 and rng.random() < 0.5:
+                x = x.T
+            assert self.same_bits(x), x
