@@ -360,9 +360,10 @@ def verify_certificate(p: ProblemInstance, cert: ConvexityCertificate) -> dict[s
     The witness promises two attained range points and an unattained point
     between them: both witness points hit the analyzed quadratic's level
     within ``tol_residual``, the other function's values straddle its level
-    strictly, and the stored range points match fresh evaluations.  When the
-    certificate analyzed the swapped pair, the roles of ``f`` and ``g`` in
-    those checks swap accordingly.
+    strictly, and the stored range points match fresh evaluations to within
+    ``1e-12 + 1e-12 * |stored|`` each.  When the certificate analyzed the
+    swapped pair, the roles of ``f`` and ``g`` in those checks swap
+    accordingly.
 
     Returns a JSON-ready dict with per-check booleans, residuals, and an
     overall ``valid`` flag (vacuously true for CONVEX certificates).

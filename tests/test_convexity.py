@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -321,8 +322,6 @@ class TestVerifyCertificate:
     @staticmethod
     def with_stored_side_value(cert, value):
         """``cert`` with ``range_at_u`` changed only in the other function's coordinate."""
-        import dataclasses
-
         stored = cert.witness.range_at_u.copy()
         stored[0 if cert.swapped else 1] = value
         return dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, range_at_u=stored))
@@ -347,8 +346,6 @@ class TestVerifyCertificate:
         assert report["valid"] is False
 
     def test_equal_infinities_are_consistent(self):
-        import dataclasses
-
         p = saddle_pair()
         cert = check_convexity(p)
         wit = cert.witness
