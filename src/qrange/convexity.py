@@ -246,8 +246,8 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
             "internal inconsistency: constructed levels failed the separation check"
         )
     wit = _separation_witness(hp, level_form, report, alpha)
-    range_u = np.array([evaluate(f, wit.u), evaluate(g, wit.u)])
-    range_v = np.array([evaluate(f, wit.v), evaluate(g, wit.v)])
+    range_u = np.array([wit.f_at_u, evaluate(g, wit.u)])
+    range_v = np.array([wit.f_at_v, evaluate(g, wit.v)])
     gap = np.array([alpha, beta])
     f_level, g_level = alpha, beta
     if swapped:

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateCloud, DimensionMismatch, InvalidInstance, IoFailure
+from .errors import DegenerateCloud, InvalidInstance, IoFailure
 from .quadratic import ProblemInstance, evaluate_many
 from .serialize import format_csv_rows
 
@@ -411,10 +411,9 @@ def emit_plot_data(s: RangeSample, report: HoleReport | None, path: str) -> list
     suffixes before the extension.  Returns the written paths.  Values are
     printed as :func:`~qrange.serialize.format_float` prints them.  Every
     file's rows are formatted before any file is opened, so a non-finite
-    value raises :class:`ValueError` and leaves no file behind.
+    value raises :class:`ValueError`, and points that are not an ``(m, 2)``
+    float64 array raise :class:`DimensionMismatch`, leaving no file behind.
     """
-    if s.points.ndim != 2 or s.points.shape[1] != 2:
-        raise DimensionMismatch("range sample must hold 2-column points")
     root, ext = (path[:-4], path[-4:]) if path.lower().endswith(".csv") else (path, ".csv")
     bodies = {root + ext: format_csv_rows(s.points)}
     if report is not None:

@@ -121,13 +121,19 @@ class SeparationReport:
 
 @dataclass(frozen=True, eq=False)
 class SeparationWitness:
-    """Two points of ``{f = alpha}`` on opposite strict sides of ``{h = 0}``."""
+    """Two points of ``{f = alpha}`` on opposite strict sides of ``{h = 0}``.
+
+    ``f_at_u`` and ``f_at_v`` are ``f`` evaluated at the points, as the level
+    residual check read them.
+    """
 
     u: np.ndarray
     v: np.ndarray
     alpha: float
     h_at_u: float
     h_at_v: float
+    f_at_u: float
+    f_at_v: float
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,18 @@ def _norms(f: QuadraticFunction) -> tuple[float, float]:
     if max(norms) < _TINY_NORM and (f.A.any() or f.a.any()):
         raise InvalidInstance("coefficient norms underflow the float range")
     return norms
+
+
+def _finite_norm(c: np.ndarray) -> float:
+    """``||c||``; :class:`InvalidInstance` when it overflows.
+
+    An overflowing direction would be normalised to zero, and every foot
+    point and hyperplane basis built from it would be wrong.
+    """
+    norm_c = _norm(c)
+    if norm_c == math.inf:
+        raise InvalidInstance("combined gradient norm overflows the float range")
+    return norm_c
 
 
 class _lazy:
@@ -245,7 +263,7 @@ class HyperplaneReduction:
     def c_zero(self) -> bool:
         # c can vanish by cancellation, so measure it against the magnitudes
         # that entered the subtraction.
-        return _norm(self.c) <= self.tol.tol_dep * self.c_scale
+        return _finite_norm(self.c) <= self.tol.tol_dep * self.c_scale
 
     @_lazy
     def V(self) -> np.ndarray:
@@ -468,7 +486,7 @@ def _separating_levels(
     ``c`` or ``c / 2``.
     """
     f, V = red.f, red.V
-    norm_c = _norm(c)
+    norm_c = _finite_norm(c)
     A_bar = sign * f.A
     a_bar = sign * f.a
     u0, *_ = np.linalg.lstsq(V.T @ A_bar, V.T @ a_bar, rcond=None)
@@ -567,6 +585,8 @@ def _separation_witness(
     const = sign * (evaluate(f, x0) - alpha)
     lin = float(2.0 * direction @ ((sign * f.A) @ x0 + a_bar))
     disc = lin * lin - 4.0 * lead * const
+    if not math.isfinite(disc):
+        raise InvalidInstance("witness line coefficients overflow the float range")
     if disc <= 0.0:
         raise RootFailure(f"no two real roots along the witness line (disc={disc:.3e})")
     q = -(lin + float(np.copysign(np.sqrt(disc), lin))) / 2.0
@@ -578,8 +598,9 @@ def _separation_witness(
     h_u, h_v = h(u), h(v)
     if not (h_u * h_v < 0.0):
         raise RootFailure("witness points do not fall on opposite sides of the hyperplane")
+    f_u, f_v = evaluate(f, u), evaluate(f, v)
     level_scale = max(1.0, abs(alpha))
-    for point in (u, v):
-        if abs(evaluate(f, point) - alpha) > tol.tol_residual * level_scale:
+    for value in (f_u, f_v):
+        if abs(value - alpha) > tol.tol_residual * level_scale:
             raise RootFailure("witness point misses the target level beyond tolerance")
-    return SeparationWitness(u, v, float(alpha), h_u, h_v)
+    return SeparationWitness(u, v, float(alpha), h_u, h_v, f_u, f_v)

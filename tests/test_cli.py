@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrange import ProblemInstance, load_problem, make_quadratic, save_problem
+from qrange import ProblemInstance, curated_cases, get_case, load_problem, make_quadratic, save_problem
 from qrange.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +75,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "invalid input: coefficient norms overflow the float range\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["check", "witness"])
+    @pytest.mark.parametrize("name", [c.name for c in curated_cases() if c.expected.verdict == "NONCONVEX"])
+    def test_nonconvex_pairs_at_two_to_the_510_are_never_an_internal_error(self, capsys, tmp_path, command, name):
+        # Both norms fit below 2^512, but the certificate's intermediates may
+        # not: that is a verdict (exit 0) or invalid input (exit 2), never exit 4.
+        p = get_case(name).instance
+        path = tmp_path / "top.json"
+        save_problem(ProblemInstance(p.f.scaled(2.0**510), p.g.scaled(2.0**510)), str(path))
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert (code, bool(out), err.startswith("invalid input: ")) in ((0, True, False), (2, False, True))
 
     @pytest.mark.parametrize("command", ["check", "fb-check", "witness", "cross-check"])
     def test_underflowing_norms_are_invalid_input(self, capsys, tmp_path, command):

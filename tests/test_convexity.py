@@ -11,6 +11,7 @@ import pytest
 from qrange import (
     VERDICT_CONVEX,
     VERDICT_NONCONVEX,
+    InvalidInstance,
     ProblemInstance,
     check_convexity,
     check_flores_bazan,
@@ -22,7 +23,7 @@ from qrange import (
     make_quadratic,
     verify_certificate,
 )
-from qrange import spectral
+from qrange import quadratic, spectral
 from conftest import differential_batch, random_instance, transformed_instance
 
 
@@ -284,6 +285,30 @@ class TestInvarianceProperties:
                 if cert.verdict == VERDICT_NONCONVEX:
                     assert verify_certificate(scaled, cert)["valid"], (i, s, t)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_near_the_top_of_the_range_is_invalid_input(self):
+        # At 2^510 both norms fit, but the combined gradient's norm or the
+        # witness line's coefficients can overflow.  That is invalid input;
+        # it once ended in RootFailure, or in a basis built from a direction
+        # normalised to zero.
+        rejected = set()
+        for p in differential_batch(5, 250):
+            base = check_convexity(p).verdict
+            scaled = ProblemInstance(p.f.scaled(2.0**510), p.g.scaled(2.0**510), p.tolerances)
+            try:
+                cert = check_convexity(scaled)
+            except InvalidInstance as exc:
+                rejected.add(str(exc))
+                continue
+            assert cert.verdict == base
+            if cert.verdict == VERDICT_NONCONVEX:
+                assert verify_certificate(scaled, cert)["valid"]
+        assert rejected == {
+            "coefficient norms overflow the float range",
+            "combined gradient norm overflows the float range",
+            "witness line coefficients overflow the float range",
+        }
+
     def test_large_scale_certificate_verifies(self):
         # At 1e10 the pseudoinverse term is large enough that a fixed margin
         # of 1 would fall under the separation check's relative threshold.
@@ -447,6 +472,26 @@ class TestSharedReduction:
         cert = check_convexity(case.instance)
         assert verify_certificate(case.instance, cert)["valid"]
         assert numpy_wrapper_calls == []
+
+    @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
+    def test_certify_reads_the_witness_values_of_f(self, monkeypatch, case):
+        # The witness keeps f at its two points from its level check, so the
+        # checker evaluates only g there; the verifier still evaluates afresh.
+        calls = []
+        original = quadratic.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "qrange" and vars(module).get("evaluate") is original:
+                monkeypatch.setattr(module, "evaluate", counting)
+        cert = check_convexity(case.instance)
+        assert len(calls) == 7
+        calls.clear()
+        assert verify_certificate(case.instance, cert)["valid"]
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
     def test_cross_check_calls_no_norm_or_allclose_wrapper(self, numpy_wrapper_calls, case):

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from qrange.errors import DimensionMismatch
 from qrange.range_oracle import RangeSample, SampleMode, emit_plot_data
 from qrange.serialize import canonical_json, format_csv_rows, format_float
 
@@ -39,31 +40,66 @@ class TestFormatFloat:
 
 
 # Values where ".17g" drops the decimal point, switches to exponent form, or
-# prints a sign or a subnormal.
+# prints a sign or a subnormal; 99999999999999984.0 is the largest double below
+# 1e17, and 99999999999999999.0 rounds to 1e17.
 EDGE_VALUES = [
-    0.0, -0.0, 1e16, 1e17, 2.0**53, 99999999999999999.0, 5e-324, 1e300, 1 / 3, -250.0, 1e-5,
+    0.0, -0.0, 1.0, -1.0, 1e16, 1e17, 2.0**52, 2.0**53, 2.0**53 + 2, 1e15 + 0.125, 99999999999999984.0,
+    99999999999999999.0, 1e20, 5e-324, 1e300, 1.7976931348623157e308, 1 / 3, -250.0, 1e-5,
     -1e16, -1e17, -(2.0**53), -5e-324, -1e300,
 ]
+
+
+def _per_value_csv(rows: np.ndarray) -> str:
+    return "".join(f"{format_float(a)},{format_float(b)}\n" for a, b in rows)
 
 
 class TestFormatCsvRows:
     def test_matches_format_float_per_value(self):
         rows = np.array([[a, b] for a in EDGE_VALUES for b in EDGE_VALUES])
-        expected = "".join(f"{format_float(a)},{format_float(b)}\n" for a, b in rows)
-        assert format_csv_rows(rows) == expected
+        assert format_csv_rows(rows) == _per_value_csv(rows)
+
+    def test_matches_format_float_over_six_hundred_decades(self):
+        rng = np.random.default_rng(10)
+        values = rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+        values[::3] = np.round(values[::3])
+        rows = values.reshape(-1, 2)
+        assert format_csv_rows(rows) == _per_value_csv(rows)
 
     def test_empty_rows_give_empty_text(self):
         assert format_csv_rows(np.empty((0, 2))) == ""
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((3, 3)),
+            np.zeros(4),
+            np.zeros((2, 2, 2)),
+            np.zeros((0, 3)),
+            np.zeros((2, 2), dtype=np.int64),
+            np.zeros((2, 2), dtype=np.float32),
+            [[1.0, 2.0]],
+        ],
+        ids=["three-columns", "vector", "three-axes", "empty-three-columns", "int64", "float32", "list"],
+    )
+    def test_anything_but_an_m_by_2_float_array_is_a_dimension_mismatch(self, bad):
+        with pytest.raises(DimensionMismatch, match=r"\(m, 2\) float64 array"):
+            format_csv_rows(bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^cannot serialize non-finite value {bad!r}$"):
             format_csv_rows(np.array([[1.0, 2.0], [3.0, bad]]))
 
     def test_nonfinite_cloud_leaves_no_file(self, tmp_path):
         points = np.array([[0.0, 1.0], [2.0, math.inf], [4.0, 5.0]])
         cloud = RangeSample(points, 2, 1.0, 3, 0, SampleMode.UNIFORM)
         with pytest.raises(ValueError):
+            emit_plot_data(cloud, None, str(tmp_path / "cloud.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_three_column_cloud_leaves_no_file(self, tmp_path):
+        cloud = RangeSample(np.zeros((3, 3)), 2, 1.0, 3, 0, SampleMode.UNIFORM)
+        with pytest.raises(DimensionMismatch):
             emit_plot_data(cloud, None, str(tmp_path / "cloud.csv"))
         assert list(tmp_path.iterdir()) == []
 
