@@ -33,6 +33,10 @@ def format_float(x: float) -> str:
     return _finite_text(x)
 
 
+# Indexed by 2 * (first value integral) + (second value integral).
+_ROW_TEMPLATES = ("%.17g,%.17g\n", "%.17g,%.17g.0\n", "%.17g.0,%.17g\n", "%.17g.0,%.17g.0\n")
+
+
 def format_csv_rows(rows: np.ndarray) -> str:
     """The ``(m, 2)`` float64 ``rows`` as CSV lines, each value as :func:`format_float` prints it.
 
@@ -55,10 +59,6 @@ def format_csv_rows(rows: np.ndarray) -> str:
     kinds = (2 * integral[:, 0] + integral[:, 1]).tolist()
     template = "".join([_ROW_TEMPLATES[k] for k in kinds])
     return template % tuple(rows.ravel().tolist())
-
-
-# Indexed by 2 * (first value integral) + (second value integral).
-_ROW_TEMPLATES = ("%.17g,%.17g\n", "%.17g,%.17g.0\n", "%.17g.0,%.17g\n", "%.17g.0,%.17g.0\n")
 
 
 def _write(obj: Any, out: list[str], indent: int) -> None:

@@ -288,9 +288,9 @@ class TestInvarianceProperties:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_near_the_top_of_the_range_is_invalid_input(self):
         # At 2^510 both norms fit, but the combined gradient's norm or the
-        # witness line's coefficients can overflow.  That is invalid input;
-        # it once ended in RootFailure, or in a basis built from a direction
-        # normalised to zero.
+        # witness line's coefficients can overflow.  That is invalid input,
+        # not a RootFailure or a verdict read off a hyperplane basis built
+        # from a direction normalised to zero.
         rejected = set()
         for p in differential_batch(5, 250):
             base = check_convexity(p).verdict
@@ -480,9 +480,9 @@ class TestSharedReduction:
         calls = []
         original = quadratic.evaluate
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+        def counting(q, x):
+            calls.append(q)
+            return original(q, x)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "qrange" and vars(module).get("evaluate") is original:
