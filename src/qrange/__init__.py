@@ -15,165 +15,119 @@ Main entry points:
 * :func:`level_pair_separation` — the two-way separation test at fixed levels.
 * :func:`sample_range` / :func:`detect_holes` — sampling oracle.
 * :func:`run_curated_suite` — re-derive the bundled reference instances.
+
+``import qrange`` loads no submodule: each public name below is imported
+from its home submodule on first access (PEP 562), so a command pays only
+for the layers it uses.
 """
 
-from .convexity import (
-    VERDICT_CONVEX,
-    VERDICT_NONCONVEX,
-    ConvexityCertificate,
-    CrossCheckResult,
-    FBReport,
-    NonconvexityWitness,
-    check_convexity,
-    check_flores_bazan,
-    cross_check,
-    verify_certificate,
-)
-from .errors import (
-    AsymmetricInput,
-    ConvergenceFailure,
-    DegenerateCloud,
-    DimensionMismatch,
-    InvalidInstance,
-    InvalidReport,
-    IoFailure,
-    OutOfRange,
-    QRangeError,
-    RootFailure,
-    ZeroMatrix,
-    ZeroVector,
-)
-from .instances import (
-    CuratedCase,
-    SuiteRow,
-    case_file_document,
-    curated_cases,
-    evaluate_case,
-    get_case,
-    run_curated_suite,
-    suite_passed,
-)
-from .quadratic import (
-    ProblemInstance,
-    QuadraticFunction,
-    ToleranceSet,
-    compose_affine,
-    evaluate,
-    evaluate_many,
-    load_problem,
-    make_quadratic,
-    problem_from_dict,
-    problem_to_dict,
-    save_problem,
-)
-from .range_oracle import (
-    HoleReport,
-    RangeSample,
-    SampleMode,
-    detect_holes,
-    domain_points,
-    emit_plot_data,
-    sample_range,
-)
-from .separation import (
-    AffineForm,
-    LevelPairReport,
-    LevelSearchResult,
-    SeparationReport,
-    SeparationWitness,
-    affine_separates_quadratic,
-    combination_affine_form,
-    construct_separation_witness,
-    exists_separating_affine_levels,
-    level_pair_separation,
-)
-from .spectral import (
-    Inertia,
-    SpectralData,
-    apply_pseudoinverse,
-    eigh,
-    inertia,
-    null_space_basis,
-    pencil_dependence,
-    range_membership,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
+# Home submodule -> the public names it exports through the package.
+_EXPORTS = {
     # verdicts and reports
-    "VERDICT_CONVEX",
-    "VERDICT_NONCONVEX",
-    "ConvexityCertificate",
-    "CrossCheckResult",
-    "FBReport",
-    "NonconvexityWitness",
-    "check_convexity",
-    "check_flores_bazan",
-    "cross_check",
-    "verify_certificate",
+    "convexity": (
+        "VERDICT_CONVEX",
+        "VERDICT_NONCONVEX",
+        "ConvexityCertificate",
+        "CrossCheckResult",
+        "FBReport",
+        "NonconvexityWitness",
+        "check_convexity",
+        "check_flores_bazan",
+        "cross_check",
+        "verify_certificate",
+    ),
     # problem data
-    "ProblemInstance",
-    "QuadraticFunction",
-    "ToleranceSet",
-    "compose_affine",
-    "evaluate",
-    "evaluate_many",
-    "load_problem",
-    "make_quadratic",
-    "problem_from_dict",
-    "problem_to_dict",
-    "save_problem",
+    "quadratic": (
+        "ProblemInstance",
+        "QuadraticFunction",
+        "ToleranceSet",
+        "compose_affine",
+        "evaluate",
+        "evaluate_many",
+        "load_problem",
+        "make_quadratic",
+        "problem_from_dict",
+        "problem_to_dict",
+        "save_problem",
+    ),
     # separation machinery
-    "AffineForm",
-    "LevelPairReport",
-    "LevelSearchResult",
-    "SeparationReport",
-    "SeparationWitness",
-    "affine_separates_quadratic",
-    "combination_affine_form",
-    "construct_separation_witness",
-    "exists_separating_affine_levels",
-    "level_pair_separation",
+    "separation": (
+        "AffineForm",
+        "LevelPairReport",
+        "LevelSearchResult",
+        "SeparationReport",
+        "SeparationWitness",
+        "affine_separates_quadratic",
+        "combination_affine_form",
+        "construct_separation_witness",
+        "exists_separating_affine_levels",
+        "level_pair_separation",
+    ),
     # spectral helpers: eigh decomposes a matrix once, and inertia,
     # range_membership and apply_pseudoinverse take its SpectralData
-    "Inertia",
-    "SpectralData",
-    "apply_pseudoinverse",
-    "eigh",
-    "inertia",
-    "null_space_basis",
-    "pencil_dependence",
-    "range_membership",
+    "spectral": (
+        "Inertia",
+        "SpectralData",
+        "apply_pseudoinverse",
+        "eigh",
+        "inertia",
+        "null_space_basis",
+        "pencil_dependence",
+        "range_membership",
+    ),
     # sampling oracle
-    "HoleReport",
-    "RangeSample",
-    "SampleMode",
-    "detect_holes",
-    "domain_points",
-    "emit_plot_data",
-    "sample_range",
+    "range_oracle": (
+        "HoleReport",
+        "RangeSample",
+        "SampleMode",
+        "detect_holes",
+        "domain_points",
+        "emit_plot_data",
+        "sample_range",
+    ),
     # curated instances
-    "CuratedCase",
-    "SuiteRow",
-    "case_file_document",
-    "curated_cases",
-    "evaluate_case",
-    "get_case",
-    "run_curated_suite",
-    "suite_passed",
-    # errors
-    "QRangeError",
-    "AsymmetricInput",
-    "ConvergenceFailure",
-    "DegenerateCloud",
-    "DimensionMismatch",
-    "InvalidInstance",
-    "InvalidReport",
-    "IoFailure",
-    "OutOfRange",
-    "RootFailure",
-    "ZeroMatrix",
-    "ZeroVector",
-]
+    "instances": (
+        "CuratedCase",
+        "SuiteRow",
+        "case_file_document",
+        "curated_cases",
+        "evaluate_case",
+        "get_case",
+        "run_curated_suite",
+        "suite_passed",
+    ),
+    "errors": (
+        "QRangeError",
+        "AsymmetricInput",
+        "ConvergenceFailure",
+        "DegenerateCloud",
+        "DimensionMismatch",
+        "InvalidInstance",
+        "InvalidReport",
+        "IoFailure",
+        "OutOfRange",
+        "RootFailure",
+        "ZeroMatrix",
+        "ZeroVector",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

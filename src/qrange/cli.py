@@ -32,9 +32,7 @@ from .errors import (
     QRangeError,
     RootFailure,
 )
-from .instances import run_curated_suite, suite_passed
 from .quadratic import ProblemInstance, ToleranceSet, load_problem
-from .range_oracle import SampleMode, detect_holes, emit_plot_data, sample_range
 from .separation import level_pair_separation
 from .serialize import canonical_json, format_float
 
@@ -221,6 +219,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from .range_oracle import SampleMode, detect_holes, emit_plot_data, sample_range
+
     if not args.output:
         raise _UsageError("sample requires --output (the CSV base path)")
     p = _apply_tolerances(load_problem(args.input), args)
@@ -259,6 +259,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from .instances import run_curated_suite, suite_passed
+
     rows = run_curated_suite()
     passed = suite_passed(rows)
     if args.format == "json":

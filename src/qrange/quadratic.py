@@ -105,9 +105,10 @@ class QuadraticFunction:
 def make_quadratic(M: np.ndarray, a: np.ndarray, a0: float, tol_sym: float = 1e-10) -> QuadraticFunction:
     """Validate and build a :class:`QuadraticFunction`.
 
-    ``M`` may deviate from exact symmetry by at most
-    ``tol_sym * max(1, ||M||_F)`` in Frobenius norm; within that budget it is
-    replaced by ``(M + M') / 2``, beyond it :class:`AsymmetricInput` is raised.
+    ``M`` may deviate from exact symmetry by at most ``tol_sym * ||M||_F``
+    in Frobenius norm, so the test does not depend on the scale of ``M``;
+    within that budget it is replaced by ``(M + M') / 2``, beyond it
+    :class:`AsymmetricInput` is raised.
     """
     M = np.asarray(M, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -126,7 +127,7 @@ def make_quadratic(M: np.ndarray, a: np.ndarray, a0: float, tol_sym: float = 1e-
     if scale > 0.0:
         unit = M / scale
         asym = float(np.linalg.norm(unit - unit.T))
-        if asym > tol_sym * max(1.0 / scale, float(np.linalg.norm(unit))):
+        if asym > tol_sym * float(np.linalg.norm(unit)):
             raise AsymmetricInput(
                 f"matrix asymmetry {asym * scale:.3e} exceeds tolerance; refusing to symmetrize"
             )

@@ -9,7 +9,6 @@ reduction, sized by the scale of the function it tests.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -73,10 +72,6 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _matrix_digest(M: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(M, dtype=float).tobytes()).hexdigest()[:16]
-
-
 def eigh(M: np.ndarray) -> SpectralData:
     """Eigendecomposition of a symmetric matrix (0x0 allowed)."""
     M = np.asarray(M, dtype=float)
@@ -87,9 +82,7 @@ def eigh(M: np.ndarray) -> SpectralData:
     try:
         vals, vecs = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(
-            f"eigensolver failed on {M.shape[0]}x{M.shape[1]} matrix (digest {_matrix_digest(M)})"
-        ) from exc
+        raise ConvergenceFailure(f"eigensolver failed on {M.shape[0]}x{M.shape[1]} matrix") from exc
     vals = np.ascontiguousarray(vals)
     vecs = np.ascontiguousarray(vecs)
     vals.setflags(write=False)
@@ -116,9 +109,8 @@ def null_space_basis(c: np.ndarray) -> np.ndarray:
     norm_c = _norm(c)
     if norm_c == 0.0:
         raise ZeroVector("cannot build a hyperplane basis for the zero direction")
-    u = c / norm_c
-    v = u.copy()
-    v[0] += 1.0 if u[0] >= 0.0 else -1.0
+    v = c / norm_c
+    v[0] += 1.0 if v[0] >= 0.0 else -1.0
     H = np.eye(len(c)) - (2.0 / (v @ v)) * (v[:, None] * v)
     return np.ascontiguousarray(H[:, 1:])
 

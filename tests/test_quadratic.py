@@ -46,6 +46,23 @@ class TestMakeQuadratic:
         with pytest.raises(AsymmetricInput):
             make_quadratic([[1.0, 2.0], [0.0, 3.0]], [0.0, 0.0], 0.0)
 
+    @pytest.mark.parametrize("eps", [1.0, 1e-6, 1e-11, 1e-20, 2.0**-500])
+    def test_asymmetry_rejected_at_every_scale(self, eps):
+        # The test is relative to ||M||_F alone: a tiny matrix is not exempt.
+        with pytest.raises(AsymmetricInput):
+            make_quadratic([[0.0, eps], [0.0, 0.0]], [0.0, 0.0], 0.0)
+
+    @pytest.mark.parametrize("factor", [2.0**-500, 2.0**-100, 1.0, 2.0**100, 2.0**500])
+    def test_small_asymmetry_averaged_at_every_scale(self, factor):
+        eps = 1e-12
+        M = factor * np.array([[1.0, 2.0 + eps], [2.0 - eps, 3.0]])
+        f = make_quadratic(M, [0.0, 0.0], 0.0)
+        assert f.A[0, 1] == f.A[1, 0] == (M[0, 1] + M[1, 0]) / 2.0
+
+    def test_zero_matrix_accepted(self):
+        f = make_quadratic(np.zeros((2, 2)), [1.0, 0.0], 0.0)
+        assert not f.A.any()
+
     def test_huge_asymmetry_rejected_without_overflow(self):
         # The Frobenius norm of M itself overflows to inf here.
         with warnings.catch_warnings():
