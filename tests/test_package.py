@@ -28,9 +28,6 @@ class TestNamespace:
             if hasattr(value, "__module__"):
                 assert value.__module__ == home.__name__, name
 
-    def test_names_are_unique(self):
-        assert len(qrange.__all__) == len(set(qrange.__all__))
-
     def test_star_import_binds_every_name(self):
         namespace: dict = {}
         exec("from qrange import *", namespace)

@@ -59,10 +59,6 @@ class TestMakeQuadratic:
         f = make_quadratic(M, [0.0, 0.0], 0.0)
         assert f.A[0, 1] == f.A[1, 0] == (M[0, 1] + M[1, 0]) / 2.0
 
-    def test_zero_matrix_accepted(self):
-        f = make_quadratic(np.zeros((2, 2)), [1.0, 0.0], 0.0)
-        assert not f.A.any()
-
     def test_huge_asymmetry_rejected_without_overflow(self):
         # The Frobenius norm of M itself overflows to inf here.
         with warnings.catch_warnings():
