@@ -396,10 +396,11 @@ def detect_holes(
 
 
 def _write_csv(path: str, body: str) -> None:
-    """Write the ``fx,gx`` header and the rows :func:`format_csv_rows` built, in one call."""
+    """Write the ``fx,gx`` header, then the rows :func:`format_csv_rows` built, to one handle."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("fx,gx\n" + body)
+            fh.write("fx,gx\n")
+            fh.write(body)
     except OSError as exc:
         raise IoFailure(f"cannot write {path!r}: {exc}") from exc
 

@@ -33,17 +33,32 @@ def format_float(x: float) -> str:
     return _finite_text(x)
 
 
-# Indexed by 2 * (first value integral) + (second value integral).
-_ROW_TEMPLATES = ("%.17g,%.17g\n", "%.17g,%.17g.0\n", "%.17g.0,%.17g\n", "%.17g.0,%.17g.0\n")
-
-
 def format_csv_rows(rows: np.ndarray) -> str:
     """The ``(m, 2)`` float64 ``rows`` as CSV lines, each value as :func:`format_float` prints it.
 
-    ``.17g`` round-trips, so the values it prints without a point or an
-    exponent are exactly the integral ones with ``|x| < 1e17`` (``-0.0``
-    among them); those get ``.0`` appended.  All lines are built by one
-    ``%`` call on a template of per-row ``%.17g`` fields.
+    ``.17g`` prints a value in fixed notation when its 17-digit decimal
+    exponent ``k`` lies in [-4, 16], that is for ``1e-4 <= |x| < 1e17`` and
+    for ``±0``; it round-trips, so the integral values in that window are the
+    ones it prints without a point, and those get ``.0``.  NumPy builds that
+    text here, in blocks of 8192 rows:
+
+    * ``k`` starts as ``floor(log10|x|)`` and moves by one wherever the exact
+      product ``|x|·10**(16-k)`` falls outside ``[1e16, 1e17)``.
+    * Dekker's TwoProduct gives that product exactly as ``hi + lo``: ``10**j``
+      is an exact double for ``j <= 22``, Veltkamp's split makes each partial
+      product exact, no intermediate overflows or underflows in the window,
+      and NumPy rounds every ufunc result (it fuses no multiply-add across
+      calls).
+    * ``hi`` is an even integer above ``2**53``, so ``hi + rint(lo)`` is the
+      17-digit integer rounded half to even, as ``.17g`` rounds; a carry to
+      ``10**17`` becomes ``10**16`` with ``k + 1``.
+    * A 4-digit table prints the digits into fixed-width byte slots, and a
+      mask looked up by sign, ``k`` and the last nonzero digit keeps the
+      sign, the point, the digits without trailing zeros and the separator.
+
+    A row holding a value outside the window (exponent form, including a
+    carry that reaches ``1e17``) is printed value by value with
+    :func:`format_float`.
 
     Anything but an ``(m, 2)`` float64 array raises :class:`DimensionMismatch`.
     Every value is checked before any text is built, so a non-finite value
@@ -55,10 +70,9 @@ def format_csv_rows(rows: np.ndarray) -> str:
     finite = np.isfinite(rows)
     if not finite.all():
         raise ValueError(f"cannot serialize non-finite value {float(rows[~finite][0])!r}")
-    integral = (rows == np.trunc(rows)) & (np.abs(rows) < 1e17)
-    kinds = (2 * integral[:, 0] + integral[:, 1]).tolist()
-    template = "".join([_ROW_TEMPLATES[k] for k in kinds])
-    return template % tuple(rows.ravel().tolist())
+    from ._csvtext import csv_text  # compiled only by the commands that write CSV
+
+    return csv_text(rows)
 
 
 def _write(obj: Any, out: list[str], indent: int) -> None:

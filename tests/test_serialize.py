@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qrange._csvtext import _BLOCK_ROWS
 from qrange.errors import DimensionMismatch
-from qrange.range_oracle import RangeSample, SampleMode, emit_plot_data
+from qrange.quadratic import load_problem
+from qrange.range_oracle import RangeSample, SampleMode, emit_plot_data, sample_range
 from qrange.serialize import canonical_json, format_csv_rows, format_float
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 class TestFormatFloat:
@@ -102,6 +107,96 @@ class TestFormatCsvRows:
         with pytest.raises(DimensionMismatch):
             emit_plot_data(cloud, None, str(tmp_path / "cloud.csv"))
         assert list(tmp_path.iterdir()) == []
+
+
+def _rows_of(values) -> np.ndarray:
+    """The values, both signs of each, as (m, 2) rows."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.stack([values, -values], axis=1)
+
+
+def _ulp_steps(x: float, steps: int) -> list[float]:
+    """``x`` and the ``steps`` doubles on each side of it."""
+    out, up, down = [x], x, x
+    for _ in range(steps):
+        up, down = float(np.nextafter(up, math.inf)), float(np.nextafter(down, -math.inf))
+        out += [up, down]
+    return out
+
+
+class TestCsvDigits:
+    """format_csv_rows builds the digits in NumPy; each case compares it with format_float value by value."""
+
+    def test_decade_boundaries_and_four_ulps_around_them(self):
+        values = [v for k in range(-5, 18) for v in _ulp_steps(float(f"1e{k}"), 4)]
+        rows = _rows_of(values)
+        assert format_csv_rows(rows) == _per_value_csv(rows)
+
+    def test_seventeenth_digit_ties_round_half_to_even(self):
+        # 17 digits leave one decimal in [1e15, 1e16) and two in [1e14, 1e15): x.25, x.75 and
+        # 2**49 + 8i/64 (x.125, x.375, ...) are halfway between two 17-digit decimals.
+        ties = [1e15 + 0.25, 1e15 + 0.75, 1e15 + 0.125, 1e15 + 0.375, 1e15 + 0.625, 1e15 + 0.875]
+        ties += list(2.0**50 + np.arange(1, 40) / 4) + list(2.0**49 + np.arange(1, 64) / 64)
+        rows = _rows_of(ties)
+        assert format_csv_rows(rows) == _per_value_csv(rows)
+        assert format_csv_rows(np.array([[1e15 + 0.25, 1e15 + 0.75]])) == "1000000000000000.2,1000000000000000.8\n"
+
+    def test_carries_into_the_next_decade(self):
+        below_1e_4 = float(np.nextafter(1e-4, 0.0))
+        values = [99999999999999999.0, 99999999999999984.0, below_1e_4, 1e-4, 0.99999999999999994, 9.9999999999999995]
+        values += [float(np.nextafter(10.0**k, 0.0)) for k in range(-4, 18)]
+        rows = _rows_of(values)
+        assert format_csv_rows(rows) == _per_value_csv(rows)
+        assert format_csv_rows(np.array([[99999999999999999.0, below_1e_4]])) == "1e+17,9.9999999999999991e-05\n"
+
+    def test_integral_values_up_to_1e17_and_signed_zeros(self):
+        rng = np.random.default_rng(12)
+        values = [0.0, -0.0, 1e17, 2.0**56, 2.0**53 - 1, 2.0**53 + 2]
+        values += list(rng.integers(0, 10**17, 5_000).astype(np.float64))
+        values += list(np.arange(-2_000.0, 2_000.0)) + [float(10**k) * d for k in range(17) for d in (1, 2, 5, 9)]
+        rows = _rows_of(values)
+        assert format_csv_rows(rows) == _per_value_csv(rows)
+        assert format_csv_rows(np.array([[0.0, -0.0]])) == "0.0,-0.0\n"
+
+    def test_log_uniform_draws_from_1e_minus_5_to_1e18(self):
+        rng = np.random.default_rng(13)
+        values = 10.0 ** rng.uniform(-5.0, 18.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        rows = values.reshape(-1, 2)
+        assert format_csv_rows(rows) == _per_value_csv(rows)
+
+    @pytest.mark.parametrize("offset", [0, 1, -1, None])
+    def test_block_boundaries(self, offset):
+        rng = np.random.default_rng(14)
+        counts = [0, 1, _BLOCK_ROWS // 2 - 1, _BLOCK_ROWS // 2 + 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+        for count in counts:
+            rows = rng.uniform(-1e3, 1e3, (count, 2))
+            if count and offset is not None:
+                # a row printed value by value right at the block edge (or at the first row)
+                rows[min(count - 1, max(0, (_BLOCK_ROWS + offset) % count))] = [1e-9, 1e20]
+            assert format_csv_rows(rows) == _per_value_csv(rows), count
+
+    def test_memory_layouts(self):
+        rng = np.random.default_rng(15)
+        base = rng.uniform(-1e6, 1e6, (_BLOCK_ROWS + 3, 4))
+        base[::7, 1] = np.round(base[::7, 1])
+        base[5] = [1e20, 1e-7, -1e-300, 0.0]
+        read_only = base[:, :2].copy()
+        read_only.setflags(write=False)
+        layouts = {
+            "fortran": np.asfortranarray(base[:, 2:]),
+            "transposed": np.ascontiguousarray(base[:, :2].T).T,
+            "column-strided": base[:, ::2],
+            "row-strided": base[::3, 1:3],
+            "reversed": base[::-1, :2],
+            "read-only": read_only,
+        }
+        for name, rows in layouts.items():
+            assert format_csv_rows(rows) == _per_value_csv(np.ascontiguousarray(rows)), name
+
+    def test_sampled_cloud_is_read_only_and_prints_per_value(self):
+        cloud = sample_range(load_problem(str(INSTANCES / "saddle_pair_dependent.json")), 5.0, 3_000, 0)
+        assert not cloud.points.flags.writeable
+        assert format_csv_rows(cloud.points) == _per_value_csv(cloud.points)
 
 
 class TestCanonicalJson:
