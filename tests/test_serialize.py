@@ -164,16 +164,16 @@ class TestCsvDigits:
         rows = values.reshape(-1, 2)
         assert format_csv_rows(rows) == _per_value_csv(rows)
 
-    @pytest.mark.parametrize("offset", [0, 1, -1, None])
-    def test_block_boundaries(self, offset):
-        rng = np.random.default_rng(14)
-        counts = [0, 1, _BLOCK_ROWS // 2 - 1, _BLOCK_ROWS // 2 + 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
-        for count in counts:
-            rows = rng.uniform(-1e3, 1e3, (count, 2))
-            if count and offset is not None:
-                # a row printed value by value right at the block edge (or at the first row)
-                rows[min(count - 1, max(0, (_BLOCK_ROWS + offset) % count))] = [1e-9, 1e20]
-            assert format_csv_rows(rows) == _per_value_csv(rows), count
+    @pytest.mark.parametrize(
+        "count", [0, 1, _BLOCK_ROWS // 2 - 1, _BLOCK_ROWS // 2 + 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+    )
+    def test_block_boundaries(self, count):
+        rows = np.random.default_rng(count).uniform(-1e3, 1e3, (count, 2))
+        assert format_csv_rows(rows) == _per_value_csv(rows)
+        # rows printed value by value: the first, both sides of the block edge, the last
+        for at in {0, _BLOCK_ROWS - 1, _BLOCK_ROWS, count - 1} & set(range(count)):
+            rows[at] = [1e-9, 1e20]
+        assert format_csv_rows(rows) == _per_value_csv(rows)
 
     def test_memory_layouts(self):
         rng = np.random.default_rng(15)
