@@ -22,7 +22,6 @@ import argparse
 import sys
 from typing import Any, Sequence
 
-from .convexity import check_convexity, check_flores_bazan, cross_check, verify_certificate
 from .errors import (
     ConvergenceFailure,
     DegenerateCloud,
@@ -33,7 +32,6 @@ from .errors import (
     RootFailure,
 )
 from .quadratic import ProblemInstance, ToleranceSet, load_problem
-from .separation import level_pair_separation
 from .serialize import canonical_json, format_float
 
 __all__ = ["main"]
@@ -166,6 +164,8 @@ def _envelope(command: str, tolerances: dict[str, float], result: Any) -> dict[s
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .convexity import check_convexity
+
     p = _apply_tolerances(load_problem(args.input), args)
     cert = check_convexity(p)
     _emit(_envelope("check", p.tolerances.to_dict(), cert.to_jsonable()), args)
@@ -173,6 +173,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_fb_check(args: argparse.Namespace) -> int:
+    from .convexity import check_flores_bazan
+
     p = _apply_tolerances(load_problem(args.input), args)
     report = check_flores_bazan(p)
     _emit(_envelope("fb-check", p.tolerances.to_dict(), report.to_jsonable()), args)
@@ -180,6 +182,8 @@ def _cmd_fb_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_cross_check(args: argparse.Namespace) -> int:
+    from .convexity import cross_check
+
     p = _apply_tolerances(load_problem(args.input), args)
     result = cross_check(p)
     _emit(_envelope("cross-check", p.tolerances.to_dict(), result.to_jsonable()), args)
@@ -187,6 +191,8 @@ def _cmd_cross_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_separate(args: argparse.Namespace) -> int:
+    from .separation import level_pair_separation
+
     p = _apply_tolerances(load_problem(args.input), args)
     rep = level_pair_separation(p.f, p.g, args.alpha, args.beta, p.tolerances)
     result = {
@@ -202,6 +208,8 @@ def _cmd_separate(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    from .convexity import check_convexity, verify_certificate
+
     p = _apply_tolerances(load_problem(args.input), args)
     cert = check_convexity(p)
     verification = verify_certificate(p, cert)

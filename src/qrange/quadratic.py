@@ -144,11 +144,23 @@ def evaluate(q: QuadraticFunction, x: np.ndarray) -> float:
 
 
 def evaluate_many(q: QuadraticFunction, X: np.ndarray) -> np.ndarray:
-    """Evaluate ``q`` row-wise on an ``(m, n)`` array of points."""
+    """Evaluate ``q`` row-wise on an ``(m, n)`` array of points.
+
+    The quadratic term is summed on contiguous copies of the columns, term
+    ``(x_j * A[j, k]) * x_k`` added to a zero start for ``j`` in order and,
+    within each ``j``, ``k`` in order.  That is the order and association of
+    ``np.einsum("ij,jk,ik->i", X, A, X)``, so the values are bit for bit the
+    einsum's, for any memory layout of ``X``.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != q.n:
         raise DimensionMismatch(f"points have shape {X.shape}, expected (m, {q.n})")
-    return np.einsum("ij,jk,ik->i", X, q.A, X) + 2.0 * (X @ q.a) + q.a0
+    cols = np.ascontiguousarray(X.T)
+    quad = np.zeros(X.shape[0])
+    for col_j, row in zip(cols, q.A.tolist()):
+        for col_k, a_jk in zip(cols, row):
+            quad += col_j * a_jk * col_k
+    return quad + 2.0 * (X @ q.a) + q.a0
 
 
 def compose_affine(q: QuadraticFunction, T: np.ndarray, t: np.ndarray) -> QuadraticFunction:

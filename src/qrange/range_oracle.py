@@ -7,7 +7,10 @@ false-negative modes (documented, not worked around): holes thinner than the
 raster, holes outside the sampled box's image, and ranges whose interesting
 geometry is dwarfed by the image of large ``|x|``.
 
-Hole detection uses NumPy only.  The hull is an Akl–Toussaint prefilter
+Hole detection uses NumPy only, and works on contiguous columns: the cloud
+is built with its ``f`` and ``g`` columns contiguous, and detection copies it
+once, scaled, into two contiguous rows whatever its layout, so every pass over
+``f`` or ``g`` reads memory in order.  The hull is an Akl–Toussaint prefilter
 followed by quickhull; its vertices run counter-clockwise from the
 lexicographically smallest one (least ``f``, then least ``g``), and a vertex
 closer than ``_COLLINEAR`` (3e-15) times the cloud's largest absolute
@@ -149,36 +152,43 @@ def sample_range(
     """
     X = domain_points(p.n, box, count, seed, mode)
     with np.errstate(over="ignore", invalid="ignore"):
-        pts = np.column_stack([evaluate_many(p.f, X), evaluate_many(p.g, X)])
-    if not np.isfinite(pts).all():
+        columns = np.stack([evaluate_many(p.f, X), evaluate_many(p.g, X)])
+    if not np.isfinite(columns).all():
         raise InvalidInstance(f"sampled range values overflow the float range on the box of half-width {box}")
-    pts.setflags(write=False)
-    return RangeSample(pts, p.n, float(box), int(count), int(seed), mode)
+    columns.setflags(write=False)
+    # The (m, 2) points keep their f and g columns contiguous.
+    return RangeSample(columns.T, p.n, float(box), int(count), int(seed), mode)
 
 
-def _convex_hull(pts: np.ndarray) -> np.ndarray:
-    """The hull vertices of ``pts`` in the order :class:`HoleReport` documents.
+def _convex_hull(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
+    """The hull vertices of the points ``(x, y)`` in the order :class:`HoleReport` documents.
 
-    Points strictly inside the polygon of the extreme points in eight
-    directions cannot be vertices and are dropped first (Akl–Toussaint).
-    Quickhull then splits each chord at the candidate farthest outside it;
-    candidates within ``tau`` of a chord are not vertices, and neither is a
-    vertex left within ``tau`` of the line through its neighbours.
+    ``scale`` is the cloud's largest absolute coordinate.  Points strictly
+    inside the polygon of the extreme points in eight directions cannot be
+    vertices and are dropped first (Akl–Toussaint).  Quickhull then splits
+    each chord at the candidate farthest outside it; candidates within
+    ``tau`` of a chord are not vertices, and neither is a vertex left within
+    ``tau`` of the line through its neighbours.
     """
-    tau = _COLLINEAR * float(np.abs(pts).max())
-    x, y = pts[:, 0], pts[:, 1]
+    tau = _COLLINEAR * scale
     # Counter-clockwise by direction: -x, -x-y, -y, x-y, x, x+y, y, y-x.
-    poly = pts[[np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmax(x - y),
-                np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y)]]
+    extreme = [np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmax(x - y),
+               np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y)]
+    poly = np.column_stack([x[extreme], y[extreme]])
     poly = poly[np.any(poly != np.roll(poly, 1, axis=0), axis=1)]
-    candidates = np.arange(pts.shape[0])
+    candidates = np.arange(x.size)
     if poly.shape[0] >= 3:
-        outer = np.zeros(pts.shape[0], dtype=bool)
+        outer = np.zeros(x.size, dtype=bool)
         for (px, py), (dx, dy) in zip(poly, np.roll(poly, -1, axis=0) - poly):
             outer |= dx * (y - py) - dy * (x - px) <= tau * math.hypot(dx, dy)
         candidates = np.flatnonzero(outer)
-    order = np.lexsort((y[candidates], x[candidates]))
-    first, last = int(candidates[order[0]]), int(candidates[order[-1]])
+    # The lexicographically least and greatest candidates; among equal
+    # points, the first and the last, as a stable sort would order them.
+    cx = x[candidates]
+    tied = candidates[cx == cx.min()]
+    first = int(tied[np.argmin(y[tied])])
+    tied = candidates[cx == cx.max()][::-1]
+    last = int(tied[np.argmax(y[tied])])
 
     def chain(p: int, q: int) -> list[int]:
         # The vertices strictly between p and q, counter-clockwise; a chord's
@@ -191,7 +201,7 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
                 out.append(item)
                 continue
             p, q, c = item
-            (px, py), (dx, dy) = pts[p], pts[q] - pts[p]
+            px, py, dx, dy = x[p], y[p], x[q] - x[p], y[q] - y[p]
             outside = dy * (x[c] - px) - dx * (y[c] - py)
             keep = outside > tau * math.hypot(dx, dy)
             if keep.any():
@@ -200,7 +210,8 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
                 stack += [(m, q, c), m, (p, m, c)]
         return out
 
-    hull = pts[[first, *chain(first, last), last, *chain(last, first)]]
+    vertices = [first, *chain(first, last), last, *chain(last, first)]
+    hull = np.column_stack([x[vertices], y[vertices]])
     while hull.shape[0] >= 3:
         prev = np.roll(hull, 1, axis=0)
         chord = np.roll(hull, -1, axis=0) - prev
@@ -216,9 +227,13 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
 
 
 def _uncovered(
-    pts: np.ndarray, lo: np.ndarray, cell: np.ndarray, centers: np.ndarray, inside: np.ndarray, radius: float
+    xy: np.ndarray, scale: float, lo: np.ndarray, cell: np.ndarray, centers: np.ndarray, inside: np.ndarray, radius: float
 ) -> np.ndarray:
     """Which ``inside`` raster centers lie farther than ``radius`` from every point.
+
+    ``xy`` holds the points' coordinates as two contiguous rows, ``scale`` is
+    their largest absolute value, and ``centers`` holds the raster's center
+    coordinates, ``x`` by row index and ``y`` by column index.
 
     Decides what a nearest-neighbour query does: a center is covered when
     some point has ``sqrt(dx*dx + dy*dy) <= radius``.  A center is covered
@@ -229,9 +244,9 @@ def _uncovered(
     the cost is bounded by its size, not by ``radius`` or the aspect ratio.
     """
     res = inside.shape[0]
-    ij = np.clip(np.floor((pts - lo) / cell), 0, res - 1).astype(np.intp)
-    key = ij[:, 0] * res + ij[:, 1]
-    by_cell = pts[np.argsort(key)]
+    ij = np.clip(np.floor((xy - lo[:, None]) / cell[:, None]), 0, res - 1).astype(np.intp)
+    key = ij[0] * res + ij[1]
+    bx, by = xy[:, np.argsort(key)]
     counts = np.bincount(key, minlength=res * res)
     start = np.zeros(res * res + 1, dtype=np.intp)
     np.cumsum(counts, out=start[1:])
@@ -242,7 +257,7 @@ def _uncovered(
     # inside the radius and those up to reach[d] may hold a covering point;
     # -1 means none.  Both shrink as d grows.
     cx, cy = float(cell[0]), float(cell[1])
-    slack = _SLACK + 4.0 * np.finfo(float).eps * float(np.abs(pts).max()) / min(cx, cy)
+    slack = _SLACK + 4.0 * np.finfo(float).eps * scale / min(cx, cy)
     d = np.arange(res, dtype=float)
     far, near = (d + 0.5 + slack) * cx, np.maximum(d - 0.5 - slack, 0.0) * cx
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,7 +277,7 @@ def _uncovered(
 
     uncovered = inside & ~covered
     ti, tj = np.nonzero(uncovered)
-    at = centers.reshape(res, res, 2)[ti, tj]
+    at_x, at_y = centers[0, ti], centers[1, tj]
     hit = np.zeros(ti.size, dtype=bool)
     for dd in range(np.count_nonzero(reach >= 0)):
         if hit.all():
@@ -275,7 +290,7 @@ def _uncovered(
             n = start[base + np.clip(tj[k] + w + 1, 0, res)] - lo_i
             owner = np.repeat(k, n)
             j = np.arange(owner.size) + np.repeat(lo_i - (np.cumsum(n) - n), n)
-            dx, dy = at[owner, 0] - by_cell[j, 0], at[owner, 1] - by_cell[j, 1]
+            dx, dy = at_x[owner] - bx[j], at_y[owner] - by[j]
             hit[owner[np.sqrt(dx * dx + dy * dy) <= radius]] = True
     uncovered[ti, tj] = ~hit
     return uncovered
@@ -338,14 +353,17 @@ def detect_holes(
     # Work on the cloud divided by the power of two of its largest |coordinate|
     # and scale the results back: both steps are exact, so no decision moves,
     # and cross products neither overflow nor underflow at extreme scales.
-    _, e = np.frexp(np.abs(s.points).max())
-    pts = np.ldexp(s.points, -e)
-    spread = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    # The scaled cloud is one copy with its f and g columns as contiguous
+    # rows, whatever the layout of ``s.points``.
+    scale, e = np.frexp(np.abs(s.points).max())
+    scale = float(scale)  # the largest |coordinate| of the scaled cloud
+    xy = np.ldexp(s.points.T, -e, order="C")
+    spread = np.linalg.svd((xy - xy.mean(axis=1, keepdims=True)).T, compute_uv=False)
     if spread[1] <= 1e-12 * max(spread[0], np.finfo(float).tiny):
         raise DegenerateCloud("sampled range cloud is numerically collinear")
-    hull_vertices = _convex_hull(pts)
+    hull_vertices = _convex_hull(xy[0], xy[1], scale)
 
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = xy.min(axis=1), xy.max(axis=1)
     cell = (hi - lo) / resolution
     cell_diag = float(np.linalg.norm(cell))
     if coverage_radius is None:
@@ -356,10 +374,8 @@ def detect_holes(
         with np.errstate(over="ignore"):
             radius = float(np.ldexp(coverage_radius, -e))
 
-    centers_x = lo[0] + (np.arange(resolution) + 0.5) * cell[0]
-    centers_y = lo[1] + (np.arange(resolution) + 0.5) * cell[1]
-    gx, gy = np.meshgrid(centers_x, centers_y, indexing="ij")
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
+    centers = lo[:, None] + (np.arange(resolution) + 0.5) * cell[:, None]
+    centers_x, centers_y = centers
 
     # Unit outward facet normals of the counter-clockwise hull, so
     # ``x*nx + y*ny + off`` is the signed distance to each facet line.  It is
@@ -378,10 +394,11 @@ def detect_holes(
         np.maximum(farthest, signed, out=farthest)
     inside = farthest <= -cell_diag
 
-    uncovered = _uncovered(pts, lo, cell, centers, inside, radius)
+    uncovered = _uncovered(xy, scale, lo, cell, centers, inside, radius)
     largest = _largest_cluster(uncovered)
 
-    hole_cells = np.ldexp(centers[uncovered.ravel()], e)
+    hole_i, hole_j = np.nonzero(uncovered)
+    hole_cells = np.ldexp(np.column_stack([centers_x[hole_i], centers_y[hole_j]]), e)
     hull_vertices = np.ldexp(hull_vertices, e)
     hole_cells.setflags(write=False)
     hull_vertices.setflags(write=False)

@@ -42,6 +42,7 @@ from .spectral import (
     Inertia,
     SpectralData,
     _norm,
+    _wide_norm,
     apply_pseudoinverse,
     eigh,
     inertia,
@@ -183,7 +184,7 @@ def _finite_norm(c: np.ndarray) -> float:
     An overflowing direction would be normalised to zero, and every foot
     point and hyperplane basis built from it would be wrong.
     """
-    norm_c = _norm(c)
+    norm_c = _wide_norm(c)
     if norm_c == math.inf:
         raise InvalidInstance("combined gradient norm overflows the float range")
     return norm_c
@@ -401,7 +402,7 @@ def _affine_separates(
         failed = {sign: red.failed_conditions(sign) for sign in (+1, -1)}
         return SeparationReport(False, None, None, None, failed, False)
 
-    norm_c = _norm(h.c)
+    norm_c = _finite_norm(h.c)
     unit_c = h.c / norm_c
     x0 = -(h.c0 / norm_c) * unit_c
     w_plus = red.V.T @ (f.A @ x0 + f.a)

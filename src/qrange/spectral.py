@@ -72,6 +72,23 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _wide_norm(x: np.ndarray) -> float:
+    """:func:`_norm`, or, when its square overflows, the norm of ``x`` brought to unit size.
+
+    :func:`_norm` reads ``inf`` from ``||x|| >= 2**512``.  Only then is the
+    norm taken again on ``x`` divided by the power of two of its largest
+    ``|entry|`` and scaled back, so every other norm is bit for bit
+    :func:`_norm`'s.  The result is ``inf`` only when the norm itself
+    overflows.
+    """
+    with np.errstate(over="ignore"):
+        norm = _norm(x)
+        if norm == math.inf:
+            _, e = np.frexp(np.abs(x).max())
+            norm = float(np.ldexp(_norm(np.ldexp(x, -e)), e))
+    return norm
+
+
 def eigh(M: np.ndarray) -> SpectralData:
     """Eigendecomposition of a symmetric matrix (0x0 allowed)."""
     M = np.asarray(M, dtype=float)
@@ -106,7 +123,7 @@ def null_space_basis(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.shape[0] == 0:
         raise DimensionMismatch(f"direction must be a nonempty vector, got shape {c.shape}")
-    norm_c = _norm(c)
+    norm_c = _wide_norm(c)
     if norm_c == 0.0:
         raise ZeroVector("cannot build a hyperplane basis for the zero direction")
     v = c / norm_c

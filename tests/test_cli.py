@@ -88,6 +88,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, command, "--input", str(path))
         assert (code, bool(out), err.startswith("invalid input: ")) in ((0, True, False), (2, False, True))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_combined_gradient_norm_above_two_to_the_512_is_decided(self, capsys, tmp_path):
+        # At 2^510 the combined gradient's squared norm overflows although its
+        # norm fits: the witness is built and verifies, and nothing warns.
+        # At 2^511 the coefficient norms themselves overflow.
+        p = load_problem(SPLIT)
+        runs = {}
+        for k in (510, 511):
+            path = tmp_path / f"scaled_{k}.json"
+            save_problem(ProblemInstance(p.f.scaled(2.0**k), p.g.scaled(2.0**k)), str(path))
+            runs[k] = run_cli(capsys, "witness", "--input", str(path))
+        code, out, err = runs[510]
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["verdict"] == "NONCONVEX" and result["verification"]["valid"]
+        assert runs[511] == (2, "", "invalid input: coefficient norms overflow the float range\n")
+
     @pytest.mark.parametrize("command", ["check", "fb-check", "witness", "cross-check"])
     def test_underflowing_norms_are_invalid_input(self, capsys, tmp_path, command):
         # Nonzero coefficients whose squared norms underflow: read as zero,

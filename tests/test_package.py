@@ -104,7 +104,9 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
 )
 def test_decision_commands_load_neither_oracle_nor_instances(argv):
     loaded = _loaded_by(argv)
-    assert {"qrange.cli", "qrange.convexity", "numpy"} <= loaded
+    # separate runs the level-pair test of qrange.separation alone.
+    decision_module = "qrange.separation" if argv[0] == "separate" else "qrange.convexity"
+    assert {"qrange.cli", decision_module, "numpy"} <= loaded
     assert not loaded & {"qrange.instances", "qrange.range_oracle", "hashlib"}
 
 
@@ -112,7 +114,7 @@ def test_sample_loads_the_oracle_but_not_instances(tmp_path):
     argv = ["sample", "--input", INSTANCE, "--output", str(tmp_path / "cloud"), "--samples", "2000", "--resolution", "40"]
     loaded = _loaded_by(argv)
     assert "qrange.range_oracle" in loaded
-    assert "qrange.instances" not in loaded
+    assert not loaded & {"qrange.instances", "qrange.convexity", "qrange.separation", "qrange.spectral"}
 
 
 def test_reproduce_loads_instances_but_not_the_oracle():

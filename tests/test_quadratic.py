@@ -106,6 +106,26 @@ class TestEvaluation:
         single = np.array([evaluate(f, p) for p in pts])
         assert np.allclose(batch, single, atol=1e-12)
 
+    def test_evaluate_many_is_the_einsum_bit_for_bit(self):
+        # The three-operand einsum is the reference: evaluate_many sums its
+        # terms in the einsum's order, on any layout of the points.
+        rng = np.random.default_rng(31)
+        for draw in range(320):
+            n = int(rng.integers(1, 9))
+            f = make_quadratic(_rand_sym(rng, n) * 10.0 ** rng.uniform(-6, 6), rng.uniform(-1, 1, n), rng.uniform(-1, 1))
+            base = rng.standard_normal((int(rng.integers(1, 400)), 2 * n)) * 10.0 ** rng.uniform(-6, 6)
+            base[rng.random(base.shape) < 0.05] = -0.0
+            X = {
+                0: np.ascontiguousarray(base[:, :n]),
+                1: np.asfortranarray(base[:, :n]),
+                2: base[:, ::2],  # strided rows and columns
+                3: base[::-1, n:],
+            }[draw % 4]
+            if draw % 3 == 0:
+                X.setflags(write=False)
+            expected = np.einsum("ij,jk,ik->i", X, f.A, X) + 2.0 * (X @ f.a) + f.a0
+            assert np.array_equal(evaluate_many(f, X).view(np.int64), expected.view(np.int64)), draw
+
     def test_callable_protocol(self):
         f = saddle()
         assert f(np.array([2.0, 0.0])) == pytest.approx(-4.0)

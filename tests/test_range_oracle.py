@@ -153,6 +153,34 @@ class TestDetectHoles:
         report = detect_holes(disk_cloud(), 100)
         assert not report.suspected_nonconvex
 
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_hull_ends_tied_in_x_and_duplicated(self, zero_first):
+        # The least and greatest x are each shared by several points, and the
+        # corners (0, 0) and (1, 1) appear more than once, (0, 0) also as
+        # (-0.0, -0.0).  The hull starts at the first of the tied corners.
+        rng = np.random.default_rng(3)
+        zeros = [[-0.0, -0.0], [0.0, 0.0]] if zero_first else [[0.0, 0.0], [-0.0, -0.0]]
+        pts = np.array([
+            [0.0, 0.5], [1.0, 1.0], zeros[0], [0.0, 1.0], [1.0, 0.25], [0.0, 0.25],
+            [1.0, 0.0], zeros[1], [1.0, 1.0], [0.0, 0.0], *rng.uniform(0.1, 0.9, (200, 2)),
+        ])
+        report = detect_holes(RangeSample(pts, 2, 1.0, pts.shape[0], 0, SampleMode.UNIFORM), 10)
+        assert report.hull_vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        assert np.signbit(report.hull_vertices[0]).tolist() == [zero_first, zero_first]
+
+    def test_reports_do_not_depend_on_the_layout_of_the_points(self):
+        cloud = sample_range(saddle_pair(), 5.0, 20_000, seed=0)
+        strided = np.repeat(cloud.points, 2, axis=1)[:, ::2]
+        reversed_rows = np.ascontiguousarray(cloud.points[::-1])[::-1]
+        layouts = [np.ascontiguousarray(cloud.points), np.asfortranarray(cloud.points), strided, reversed_rows]
+        reports = [detect_holes(RangeSample(pts, 2, 5.0, pts.shape[0], 0, SampleMode.UNIFORM), 100) for pts in layouts]
+        assert reports[0].suspected_nonconvex
+        for report in reports[1:]:
+            assert report.largest_cluster == reports[0].largest_cluster
+            assert report.coverage_radius == reports[0].coverage_radius
+            assert np.array_equal(report.hull_vertices, reports[0].hull_vertices)
+            assert np.array_equal(report.hole_cells, reports[0].hole_cells)
+
     @pytest.mark.parametrize("k", [996, -996])
     def test_power_of_two_scaling_moves_no_decision(self, k):
         # At 2^996 the hull's cross products overflow and at 2^-996 they

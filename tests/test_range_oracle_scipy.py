@@ -84,3 +84,19 @@ def test_synthetic_clouds_match_reference(cloud, cells):
     s = cloud()
     cell_diag = float(np.linalg.norm(np.ptp(s.points, axis=0) / 100))
     check_against_reference(s, 100, None if cells is None else cells * cell_diag)
+
+
+def test_cloud_whose_prefilter_finds_two_points_matches_reference():
+    # Every one of the eight prefilter directions is extreme at one of the
+    # two tips of a thin diamond, each tip held by three equal points, as on
+    # rank_deficient_4d; no candidate is dropped before quickhull.
+    rng = np.random.default_rng(8)
+    u, v = rng.uniform(-1.0, 1.0, (2, 20_000))
+    inside = np.column_stack([u, 0.3 * u + 0.1 * v * (1.0 - np.abs(u))])
+    tips = np.array([[-1.0, -0.3], [1.0, 0.3]])
+    pts = np.vstack([tips, inside, tips, tips[::-1]])
+    x, y = pts.T
+    extreme = [np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmax(x - y),
+               np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y)]
+    assert np.unique(pts[extreme], axis=0).tolist() == tips.tolist()
+    check_against_reference(RangeSample(pts, 2, 1.0, pts.shape[0], 0, SampleMode.UNIFORM), 100)

@@ -17,7 +17,7 @@ from qrange import (
     pencil_dependence,
     range_membership,
 )
-from qrange.spectral import _norm
+from qrange.spectral import _norm, _wide_norm
 
 TOL_EIG = 1e-9
 TOL_RANK = 1e-9
@@ -244,3 +244,30 @@ class TestNorm:
             if x.ndim == 2 and rng.random() < 0.5:
                 x = x.T
             assert self.same_bits(x), x
+
+
+class TestWideNorm:
+    """``_wide_norm`` is ``_norm`` unless the square overflows; then it rescales."""
+
+    def test_same_bits_as_norm_wherever_the_square_fits(self):
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            x = rng.standard_normal(int(rng.integers(1, 9))) * 10.0 ** rng.uniform(-150.0, 150.0)
+            assert _wide_norm(x).hex() == _norm(x).hex(), x
+
+    def test_norms_above_two_to_the_512(self):
+        # 3-4-5 at 2^600, and the largest finite entries of a 1-vector.
+        assert _wide_norm(np.array([3.0, -4.0]) * 2.0**600) == 5.0 * 2.0**600
+        assert _wide_norm(np.array([-np.finfo(float).max])) == np.finfo(float).max
+        x = np.array([0.3, -1.7, 2.2, 0.9]) * 2.0**700
+        assert _wide_norm(x) == pytest.approx(np.linalg.norm(x / 2.0**700) * 2.0**700, rel=1e-15)
+
+    def test_only_a_norm_beyond_the_float_range_is_inf(self):
+        with np.errstate(all="raise"):
+            assert _wide_norm(np.full(4, 1e308)) == np.inf
+
+    def test_hyperplane_basis_of_a_direction_above_two_to_the_512(self):
+        # The basis is that of the direction brought to unit size, bit for bit.
+        c = np.array([1.0, -2.0, 0.5]) * 2.0**800
+        with np.errstate(all="raise"):
+            assert np.array_equal(null_space_basis(c), null_space_basis(c / 2.0**800))
