@@ -237,7 +237,7 @@ class HyperplaneReduction:
     def alone(cls, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet) -> "HyperplaneReduction":
         """The reduction of ``f`` along a ``c`` given on its own, so ``c_scale = ||c||``."""
         c = np.asarray(c, dtype=float)
-        return cls(f, c, tol, sum(_norms(f)), _norm(c))
+        return cls(f, c, tol, sum(_norms(f)), _finite_norm(c))
 
     @_lazy
     def sd(self) -> SpectralData:

@@ -78,6 +78,15 @@ class TestAffineSeparatesQuadratic:
         assert np.allclose(report.foot_point, [0.0, 0.0])
         assert report.failed_conditions[-1] == ()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hyperplane_given_above_two_to_the_512(self):
+        # The same hyperplane with its coefficients times 2^600: the squared
+        # norm of c overflows, its norm does not, so the verdict stands.
+        h = AffineForm(np.array([1.0, -5.0]) * 2.0**600, 0.0)
+        report = affine_separates_quadratic(hyperbola(-1.0), h)
+        assert report.separates and report.orientation == -1
+        assert np.allclose(report.foot_point, [0.0, 0.0])
+
     def test_wrong_curvature_count_fails(self):
         # three negatives one way, zero the other: neither has exactly one
         f = make_quadratic(np.diag([-1.0, -2.0, -3.0]), np.zeros(3), -1.0)
