@@ -115,12 +115,13 @@ class TestEvaluation:
             f = make_quadratic(_rand_sym(rng, n) * 10.0 ** rng.uniform(-6, 6), rng.uniform(-1, 1, n), rng.uniform(-1, 1))
             base = rng.standard_normal((int(rng.integers(1, 400)), 2 * n)) * 10.0 ** rng.uniform(-6, 6)
             base[rng.random(base.shape) < 0.05] = -0.0
-            X = {
-                0: np.ascontiguousarray(base[:, :n]),
-                1: np.asfortranarray(base[:, :n]),
-                2: base[:, ::2],  # strided rows and columns
-                3: base[::-1, n:],
-            }[draw % 4]
+            layouts = (
+                np.ascontiguousarray(base[:, :n]),
+                np.asfortranarray(base[:, :n]),
+                base[:, ::2],  # strided rows and columns
+                base[::-1, n:],  # reversed rows
+            )
+            X = layouts[draw % 4]
             if draw % 3 == 0:
                 X.setflags(write=False)
             expected = np.einsum("ij,jk,ik->i", X, f.A, X) + 2.0 * (X @ f.a) + f.a0
