@@ -155,62 +155,46 @@ def _write(text: str, destination: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(doc: dict[str, Any], args: argparse.Namespace) -> None:
-    _write(_render(doc, args.format or "json"), args.output)
-
-
 def _envelope(command: str, tolerances: dict[str, float], result: Any) -> dict[str, Any]:
     return {"command": command, "tolerances": tolerances, "result": result}
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _check(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .convexity import check_convexity
 
-    p = _apply_tolerances(load_problem(args.input), args)
-    cert = check_convexity(p)
-    _emit(_envelope("check", p.tolerances.to_dict(), cert.to_jsonable()), args)
-    return EXIT_OK
+    return check_convexity(p).to_jsonable(), EXIT_OK
 
 
-def _cmd_fb_check(args: argparse.Namespace) -> int:
+def _fb_check(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .convexity import check_flores_bazan
 
-    p = _apply_tolerances(load_problem(args.input), args)
-    report = check_flores_bazan(p)
-    _emit(_envelope("fb-check", p.tolerances.to_dict(), report.to_jsonable()), args)
-    return EXIT_OK
+    return check_flores_bazan(p).to_jsonable(), EXIT_OK
 
 
-def _cmd_cross_check(args: argparse.Namespace) -> int:
+def _cross_check(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .convexity import cross_check
 
-    p = _apply_tolerances(load_problem(args.input), args)
     result = cross_check(p)
-    _emit(_envelope("cross-check", p.tolerances.to_dict(), result.to_jsonable()), args)
-    return EXIT_OK if result.agree else EXIT_DISAGREEMENT
+    return result.to_jsonable(), EXIT_OK if result.agree else EXIT_DISAGREEMENT
 
 
-def _cmd_separate(args: argparse.Namespace) -> int:
+def _separate(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .separation import level_pair_separation
 
-    p = _apply_tolerances(load_problem(args.input), args)
     rep = level_pair_separation(p.f, p.g, args.alpha, args.beta, p.tolerances)
-    result = {
+    return {
         "f_level": args.alpha,
         "g_level": args.beta,
         "g_separates_f": rep.g_separates_f,
         "f_separates_g": rep.f_separates_g,
         "ratio_g_on_f": rep.ratio_g_on_f,
         "ratio_f_on_g": rep.ratio_f_on_g,
-    }
-    _emit(_envelope("separate", p.tolerances.to_dict(), result), args)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _witness(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .convexity import check_convexity, verify_certificate
 
-    p = _apply_tolerances(load_problem(args.input), args)
     cert = check_convexity(p)
     verification = verify_certificate(p, cert)
     result = {
@@ -220,10 +204,27 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         "witness": cert.witness.to_jsonable() if cert.witness else None,
         "verification": verification,
     }
-    _emit(_envelope("witness", p.tolerances.to_dict(), result), args)
     if cert.verdict == "NONCONVEX" and not verification["valid"]:
-        return EXIT_INTERNAL
-    return EXIT_OK
+        return result, EXIT_INTERNAL
+    return result, EXIT_OK
+
+
+# The decision commands: each maps the loaded problem to its result and exit code.
+_DECISIONS = {
+    "check": _check,
+    "fb-check": _fb_check,
+    "cross-check": _cross_check,
+    "separate": _separate,
+    "witness": _witness,
+}
+
+
+def _cmd_decide(args: argparse.Namespace) -> int:
+    """Load the problem, apply the ``--tol-*`` overrides, run the command and emit its envelope."""
+    p = _apply_tolerances(load_problem(args.input), args)
+    result, code = _DECISIONS[args.command](p, args)
+    _write(_render(_envelope(args.command, p.tolerances.to_dict(), result), args.format or "json"), args.output)
+    return code
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -292,11 +293,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "check": _cmd_check,
-    "fb-check": _cmd_fb_check,
-    "cross-check": _cmd_cross_check,
-    "separate": _cmd_separate,
-    "witness": _cmd_witness,
+    **dict.fromkeys(_DECISIONS, _cmd_decide),
     "sample": _cmd_sample,
     "reproduce": _cmd_reproduce,
 }

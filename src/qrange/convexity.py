@@ -332,13 +332,9 @@ def _check_flores_bazan(red: _PairReduction) -> FBReport:
     certificate: np.ndarray | None = None
     for label, direction_sign in (("candidate_pos", +1), ("candidate_neg", -1)):
         d = direction_sign * np.array([1.0, ratio])
-        attains = (ine.n_neg if direction_sign > 0 else ine.n_pos) >= 1
-        if hp.c_zero:
-            definite = False
-        elif direction_sign > 0:
-            definite = hp.ine_w.n_neg == 0 and ine.n_neg == 1
-        else:
-            definite = hp.ine_w.n_pos == 0 and ine.n_pos == 1
+        n_neg = ine.negatives(direction_sign)
+        attains = n_neg >= 1
+        definite = not hp.c_zero and hp.ine_w.negatives(direction_sign) == 0 and n_neg == 1
         qualified = bool(a_in and b_in and attains and definite)
         conditions[label] = {
             "d": d.tolist(),

@@ -169,8 +169,7 @@ def _norms(f: QuadraticFunction) -> tuple[float, float]:
     the smallest normal float has no magnitude to size a threshold with, so
     it is rejected like an overflowing one; an all-zero function is kept.
     """
-    with np.errstate(over="ignore"):
-        norms = _norm(f.A), _norm(f.a)
+    norms = _norm(f.A), _norm(f.a)
     if not math.isfinite(norms[0] + norms[1]):
         raise InvalidInstance("coefficient norms overflow the float range")
     if max(norms) < _TINY_NORM and (f.A.any() or f.a.any()):
@@ -299,6 +298,17 @@ class HyperplaneReduction:
         quad = apply_pseudoinverse(sd_w, w, tol_rank * self.sd.spectral_norm, tol_rank * self.scale * r)
         return quad, self.tol.tol_psd * (value + abs(quad or 0.0) + self.scale * r * r)
 
+    def foot(self, f: QuadraticFunction, c: np.ndarray, c0: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """The foot point ``x0`` of ``{c'x + c0 = 0}``, ``w = V'(A x0 + a)`` and ``f(x0)``.
+
+        ``f`` is the reduced function up to a constant and ``c`` the reduced
+        direction up to a positive factor.  Negation is exact, so ``-w`` is
+        the projected gradient of ``-f`` bit for bit.
+        """
+        norm_c = _finite_norm(c)
+        x0 = -(c0 / norm_c) * (c / norm_c)
+        return x0, self.V.T @ (f.A @ x0 + f.a), evaluate(f, x0)
+
     def failed_conditions(self, sign: int) -> tuple[str, ...]:
         """The orientation conditions that ``sign * f`` fails; empty means they all hold.
 
@@ -307,7 +317,7 @@ class HyperplaneReduction:
         semidefinite on ``{c'x = 0}``.
         """
         labels = []
-        if (self.ine.n_neg if sign > 0 else self.ine.n_pos) != 1:
+        if self.ine.negatives(sign) != 1:
             labels.append(COND_ONE_NEGATIVE)
         if not self.a_in:
             labels.append(COND_LINEAR_IN_RANGE)
@@ -316,7 +326,7 @@ class HyperplaneReduction:
             return tuple(labels)
         if not self.c_in:
             labels.append(COND_GRADIENT_IN_RANGE)
-        if (self.ine_w.n_neg if sign > 0 else self.ine_w.n_pos) != 0:
+        if self.ine_w.negatives(sign) != 0:
             labels.append(COND_RESTRICTED_SEMIDEFINITE)
         return tuple(labels)
 
@@ -402,11 +412,7 @@ def _affine_separates(
         failed = {sign: red.failed_conditions(sign) for sign in (+1, -1)}
         return SeparationReport(False, None, None, None, failed, False)
 
-    norm_c = _finite_norm(h.c)
-    unit_c = h.c / norm_c
-    x0 = -(h.c0 / norm_c) * unit_c
-    w_plus = red.V.T @ (f.A @ x0 + f.a)
-    f_x0 = evaluate(f, x0)
+    x0, w_plus, f_x0 = red.foot(f, h.c, h.c0)
     # The two orientations share all spectral work: negating f negates the
     # restricted form and its pseudoinverse term, so the margins are exact
     # negatives of one another (hence at most one orientation can pass).
@@ -456,7 +462,7 @@ def exists_separating_affine_levels(
     ``c`` in the column space of ``A``, and the restricted form positive
     semidefinite.  When these hold, concrete levels are constructed:
 
-    * solve ``V' Abar u0 = V' abar`` (least squares) and set
+    * solve ``V' A u0 = V' a`` (least squares; the sign cancels) and set
       ``gamma = c0 - c'u0``, which makes the projected gradient at the foot
       point of ``{c'x + c0 = gamma}`` land inside the restricted form's column
       space by construction;
@@ -487,16 +493,11 @@ def _separating_levels(
     ``c`` or ``c / 2``.
     """
     f, V = red.f, red.V
-    norm_c = _finite_norm(c)
-    A_bar = sign * f.A
-    a_bar = sign * f.a
-    u0, *_ = np.linalg.lstsq(V.T @ A_bar, V.T @ a_bar, rcond=None)
+    u0, *_ = np.linalg.lstsq(V.T @ f.A, V.T @ f.a, rcond=None)
     gamma = float(c0 - c @ u0)
-    foot = -((c0 - gamma) / norm_c) * (c / norm_c)
-    w_bar = V.T @ (A_bar @ foot + a_bar)
+    foot, w, f_foot = red.foot(f, c, c0 - gamma)
     sd_w = red.sd_w if sign > 0 else red.sd_w.negated()
-    f_foot = evaluate(f, foot)
-    quad_term, bound = red.margin_terms(sd_w, w_bar, foot, abs(f_foot))
+    quad_term, bound = red.margin_terms(sd_w, sign * w, foot, abs(f_foot))
     if quad_term is None:
         raise OutOfRange("projected gradient lies outside the restricted form's column space")
     # _affine_separates needs margin > this bound at value |quad_term + margin|.
@@ -576,15 +577,15 @@ def _separation_witness(
         raise InvalidReport("witness construction requires a successful separation report")
     sign = report.orientation
     x0 = report.foot_point
-    sd = red.sd if sign > 0 else red.sd.negated()
-    lead = float(sd.eigenvalues[0])
+    k = 0 if sign > 0 else -1  # the least eigenpair of sign * A
+    lead = sign * float(red.sd.eigenvalues[k])
     if lead >= 0.0:
         raise InvalidReport("oriented matrix has no negative-curvature direction")
-    direction = sd.eigenvectors[:, 0]
+    direction = red.sd.eigenvectors[:, k]
 
-    a_bar = sign * f.a
     const = sign * (evaluate(f, x0) - alpha)
-    lin = float(2.0 * direction @ ((sign * f.A) @ x0 + a_bar))
+    # Negate the direction, not the dot: a zero slope must stay +0.0 for copysign.
+    lin = float(2.0 * (sign * direction) @ (f.A @ x0 + f.a))
     disc = lin * lin - 4.0 * lead * const
     if not math.isfinite(disc):
         raise InvalidInstance("witness line coefficients overflow the float range")

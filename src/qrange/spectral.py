@@ -59,17 +59,22 @@ class Inertia:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_neg, self.n_zero, self.n_pos)
 
+    def negatives(self, sign: int) -> int:
+        """The negative count of ``sign * M``: negation is exact and the zero band symmetric, so ``-M``'s is ``n_pos``."""
+        return self.n_neg if sign > 0 else self.n_pos
+
 
 def _norm(x: np.ndarray) -> float:
     """``float(np.linalg.norm(x))`` for a float array, without NumPy's wrapper.
 
     This is the wrapper's own path for ``ord=None``: the square root of the
-    ``dot`` of the array raveled in memory order, so the result is bit for bit
-    the same.  Do not swap in ``x @ x`` or ``(x * x).sum()``: those are other
+    ``dot`` of the array raveled in memory order.  ``np.vdot`` is that kernel
+    bit for bit, but an overflowing square reads ``inf`` with no warning, so
+    no caller needs ``np.errstate``.  ``x @ x`` or ``(x * x).sum()`` are other
     kernels and may round differently.
     """
     x = x.ravel(order="K")
-    return math.sqrt(x.dot(x))
+    return math.sqrt(np.vdot(x, x))
 
 
 def _wide_norm(x: np.ndarray) -> float:
@@ -79,12 +84,9 @@ def _wide_norm(x: np.ndarray) -> float:
     norm taken again on ``x`` divided by the power of two of its largest
     ``|entry|`` and scaled back, so every other norm is bit for bit
     :func:`_norm`'s.  The result is ``inf`` only when the norm itself
-    overflows.  ``np.vdot`` runs the same ``dot`` kernel as :func:`_norm` on
-    the raveled (contiguous) array but reports no floating-point overflow,
-    so the common case pays for no ``np.errstate``.
+    overflows.
     """
-    x = x.ravel(order="K")
-    norm = math.sqrt(np.vdot(x, x))
+    norm = _norm(x)
     if norm == math.inf:
         _, e = np.frexp(np.abs(x).max())
         with np.errstate(over="ignore"):

@@ -15,6 +15,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SPLIT = str(REPO_ROOT / "instances" / "saddle_pair_dependent.json")
 CONVEX = str(REPO_ROOT / "instances" / "bowl_vs_sheet_3d.json")
 MUTUAL = str(REPO_ROOT / "instances" / "tilted_saddle_mutual.json")
+# One invocation of each command that loads a problem and decides it.
+DECISION_ARGV = {
+    "check": ["check", "--input", SPLIT],
+    "fb-check": ["fb-check", "--input", SPLIT],
+    "cross-check": ["cross-check", "--input", SPLIT],
+    "separate": ["separate", "--input", MUTUAL, "--alpha", "-4", "--beta", "2"],
+    "witness": ["witness", "--input", SPLIT],
+}
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -136,17 +144,28 @@ class TestCheckCommand:
         _, second, _ = run_cli(capsys, "check", "--input", SPLIT)
         assert first == second
 
-    def test_output_file(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        code, out, _ = run_cli(capsys, "check", "--input", SPLIT, "--output", str(target))
-        assert code == 0
-        assert out == ""
-        assert json.loads(target.read_text(encoding="utf-8"))["result"]["verdict"] == "NONCONVEX"
+    @staticmethod
+    def same_report_in_file(capsys, tmp_path, argv):
+        """Run ``argv`` with and without ``--output``; the file holds stdout's bytes, under the same exit code."""
+        code, expected, _ = run_cli(capsys, *argv)
+        target = tmp_path / "report"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", "")
+        assert target.read_bytes() == expected.encode("utf-8")
+        return code, expected
 
-    def test_text_format(self, capsys):
-        _, out, _ = run_cli(capsys, "check", "--input", SPLIT, "--format", "text")
-        assert "verdict: NONCONVEX" in out
-        assert "tolerances:" in out
+    @pytest.mark.parametrize("command", list(DECISION_ARGV))
+    def test_output_file(self, capsys, tmp_path, command):
+        code, out = self.same_report_in_file(capsys, tmp_path, DECISION_ARGV[command])
+        assert code == 0
+        assert json.loads(out)["command"] == command
+
+    @pytest.mark.parametrize("command", list(DECISION_ARGV))
+    def test_text_format(self, capsys, tmp_path, command):
+        code, out = self.same_report_in_file(capsys, tmp_path, [*DECISION_ARGV[command], "--format", "text"])
+        assert code == 0
+        assert out.startswith(f"command: {command}\ntolerances:\n")
+        if command in ("check", "fb-check", "witness"):
+            assert "verdict: NONCONVEX" in out
 
 
 class TestOtherCommands:

@@ -229,10 +229,12 @@ class TestNorm:
         assert _norm(x) == 0.0
         assert self.same_bits(x) and self.same_bits(np.array([1e-160, 2e-155]))
 
+    @pytest.mark.filterwarnings("error")
     def test_squares_that_leave_the_float_range(self):
+        # An overflowing square reads inf without a floating-point report.
         for value, expected in ((1e200, np.inf), (1e-200, 0.0)):
             x = np.full((3, 3), value)
-            with np.errstate(over="ignore"):
+            with np.errstate(all="raise"):
                 assert _norm(x) == expected
             assert self.same_bits(x) and self.same_bits(x[0])
 
