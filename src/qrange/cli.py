@@ -60,12 +60,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qrange", description="Convexity of the joint range of two quadratics.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_common(p: _Parser, *, reads_problem: bool = True) -> None:
+    def add_common(p: _Parser, *, reads_problem: bool = True, decides: bool = True) -> None:
         if reads_problem:
             p.add_argument("--input", "-i", required=True, help="problem JSON file")
         p.add_argument("--output", "-o", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default=None, help="output format")
-        if reads_problem:
+        if decides:
             for name in ("tol-eig", "tol-dep", "tol-rank", "tol-psd"):
                 p.add_argument(f"--{name}", type=float, default=None, help=f"override {name.replace('-', '_')}")
 
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     add_common(sub.add_parser("witness", help="nonconvexity witness with verification"))
 
     p_sample = sub.add_parser("sample", help="sample the joint range and look for holes")
-    add_common(p_sample)
+    add_common(p_sample, decides=False)
     p_sample.add_argument("--box", type=float, default=None, help="domain half-width (default 5, or 3 above dimension 4)")
     p_sample.add_argument("--samples", type=int, default=100_000, help="number of sample points")
     p_sample.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -90,7 +90,8 @@ def _build_parser() -> _Parser:
     p_sample.add_argument("--coverage-radius", type=float, default=None, help="uncovered distance (default: 2 cell diagonals)")
     p_sample.add_argument("--min-cluster", type=int, default=4, help="smallest hole-cell cluster that counts")
 
-    add_common(sub.add_parser("reproduce", help="re-derive the curated suite expectations"), reads_problem=False)
+    p_reproduce = sub.add_parser("reproduce", help="re-derive the curated suite expectations")
+    add_common(p_reproduce, reads_problem=False, decides=False)
     return parser
 
 
@@ -98,7 +99,7 @@ def _apply_tolerances(p: ProblemInstance, args: argparse.Namespace) -> ProblemIn
     overrides = {
         field: getattr(args, field)
         for field in ("tol_eig", "tol_dep", "tol_rank", "tol_psd")
-        if getattr(args, field, None) is not None
+        if getattr(args, field) is not None
     }
     if not overrides:
         return p
@@ -232,7 +233,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
     if not args.output:
         raise _UsageError("sample requires --output (the CSV base path)")
-    p = _apply_tolerances(load_problem(args.input), args)
+    p = load_problem(args.input)
     box = args.box if args.box is not None else (5.0 if p.n <= 4 else 3.0)
     mode = SampleMode(args.mode)
     cloud = sample_range(p, box, args.samples, args.seed, mode)

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import InvalidReport
 from .quadratic import ProblemInstance, evaluate
 from .separation import (
-    AffineForm,
     _affine_separates,
     _PairReduction,
     _separating_levels,
@@ -207,7 +206,7 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
         "step": 2,
         "check": "combined_gradient_and_ranges",
         "pencil_ratio": ratio,
-        "combined_gradient": hp.c.tolist(),
+        "combined_gradient": (0.5 * hp.c).tolist(),
         "gradient_zero": hp.c_zero,
         "linear_term_in_range": bool(hp.a_in),
         "gradient_in_range": bool(hp.c_in),
@@ -234,18 +233,17 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
         return _convex(path, swapped)
     orientation = +1 if pos_ok else -1
 
-    # Construct the certificate: concrete levels, then witness points.  The
-    # level direction is 2c, whose reduction is the one already in hand.
-    base_form = combination_affine_form(f, g, ratio)
-    gamma, alpha = _separating_levels(hp, base_form.c, base_form.c0, orientation)
+    # Construct the certificate: concrete levels, then witness points.  Every
+    # level form of the pair is hp's hyperplane at another offset.
+    c0 = combination_affine_form(f, g, ratio).c0
+    gamma, alpha = _separating_levels(hp, c0, orientation)
     beta = ratio * alpha + gamma
-    level_form = AffineForm(base_form.c, base_form.c0 - gamma)
-    report = _affine_separates(f.add_constant(-alpha), level_form, hp)
+    report = _affine_separates(f.add_constant(-alpha), c0 - gamma, hp)
     if not report.separates:
         raise InvalidReport(
             "internal inconsistency: constructed levels failed the separation check"
         )
-    wit = _separation_witness(hp, level_form, report, alpha)
+    wit = _separation_witness(hp, c0 - gamma, report, alpha)
     range_u = np.array([wit.f_at_u, evaluate(g, wit.u)])
     range_v = np.array([wit.f_at_v, evaluate(g, wit.v)])
     gap = np.array([alpha, beta])

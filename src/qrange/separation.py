@@ -177,18 +177,6 @@ def _norms(f: QuadraticFunction) -> tuple[float, float]:
     return norms
 
 
-def _finite_norm(c: np.ndarray) -> float:
-    """``||c||``; :class:`InvalidInstance` when it overflows.
-
-    An overflowing direction would be normalised to zero, and every foot
-    point and hyperplane basis built from it would be wrong.
-    """
-    norm_c = _wide_norm(c)
-    if norm_c == math.inf:
-        raise InvalidInstance("combined gradient norm overflows the float range")
-    return norm_c
-
-
 class _lazy:
     """An attribute computed on first read and then stored on the instance.
 
@@ -209,34 +197,35 @@ class _lazy:
 
 
 class HyperplaneReduction:
-    """The spectral facts of a quadratic ``f`` relative to a direction ``c``.
+    """The spectral facts of a quadratic ``f`` relative to the hyperplanes ``{c'x + c0 = 0}``.
 
-    Holds ``eigh(A)`` and its inertia, the memberships ``a in range(A)`` and
-    ``c in range(A)``, an orthonormal basis ``V`` of ``{c'x = 0}``, the
-    restricted form ``W = V' A V``, ``eigh(W)`` and its inertia.  Each fact is
-    computed on first use and then shared by every consumer, so a caller that
-    stops early pays only for what it read.  No fact depends on ``f``'s
-    constant, and ``c`` and ``2c`` give bit-identical ``V`` and ``W``, so one
-    reduction along the combined gradient ``c`` also serves the level form
-    with direction ``2c``.
+    Holds ``eigh(A)`` and its inertia, ``||c||``, the memberships
+    ``a in range(A)`` and ``c in range(A)``, an orthonormal basis ``V`` of
+    ``{c'x = 0}``, the restricted form ``W = V' A V``, ``eigh(W)`` and its
+    inertia.  Each fact is computed on first use and then shared by every
+    consumer, so a caller that stops early pays only for what it read.  No
+    fact depends on ``f``'s constant or on the offset ``c0``, so one
+    reduction serves every level hyperplane of a direction; callers pass
+    only the offset.
 
     Tolerances are relative: eigenvalues of ``A`` and ``W`` to ``A``'s
     spectral norm, ``f``'s other terms to ``scale = ||A||_F + ||a||`` (the
     constant only shifts the range), and ``c`` to ``c_scale``.
     """
 
-    def __init__(self, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet, scale: float, c_scale: float) -> None:
+    def __init__(
+        self, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet, scale: float, c_scale: float | None = None
+    ) -> None:
         self.f = f
         self.c = np.asarray(c, dtype=float)
         self.tol = tol
         self.scale = scale
-        self.c_scale = c_scale
+        self.c_scale = self.norm_c if c_scale is None else c_scale
 
     @classmethod
     def alone(cls, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet) -> "HyperplaneReduction":
         """The reduction of ``f`` along a ``c`` given on its own, so ``c_scale = ||c||``."""
-        c = np.asarray(c, dtype=float)
-        return cls(f, c, tol, sum(_norms(f)), _finite_norm(c))
+        return cls(f, c, tol, sum(_norms(f)))
 
     @_lazy
     def sd(self) -> SpectralData:
@@ -260,18 +249,26 @@ class HyperplaneReduction:
         return not self.c_zero and self.in_range(self.c, self.c_scale)
 
     @_lazy
+    def norm_c(self) -> float:
+        return _wide_norm(self.c)
+
+    @_lazy
     def c_zero(self) -> bool:
         # c can vanish by cancellation, so measure it against the magnitudes
         # that entered the subtraction.
-        return _finite_norm(self.c) <= self.tol.tol_dep * self.c_scale
+        return self.norm_c <= self.tol.tol_dep * self.c_scale
 
     @_lazy
     def V(self) -> np.ndarray:
         return null_space_basis(self.c)
 
     @_lazy
+    def VtA(self) -> np.ndarray:
+        return self.V.T @ self.f.A
+
+    @_lazy
     def W(self) -> np.ndarray:
-        W = self.V.T @ self.f.A @ self.V
+        W = self.VtA @ self.V
         return (W + W.T) / 2.0
 
     @_lazy
@@ -298,15 +295,14 @@ class HyperplaneReduction:
         quad = apply_pseudoinverse(sd_w, w, tol_rank * self.sd.spectral_norm, tol_rank * self.scale * r)
         return quad, self.tol.tol_psd * (value + abs(quad or 0.0) + self.scale * r * r)
 
-    def foot(self, f: QuadraticFunction, c: np.ndarray, c0: float) -> tuple[np.ndarray, np.ndarray, float]:
+    def foot(self, f: QuadraticFunction, c0: float) -> tuple[np.ndarray, np.ndarray, float]:
         """The foot point ``x0`` of ``{c'x + c0 = 0}``, ``w = V'(A x0 + a)`` and ``f(x0)``.
 
-        ``f`` is the reduced function up to a constant and ``c`` the reduced
-        direction up to a positive factor.  Negation is exact, so ``-w`` is
-        the projected gradient of ``-f`` bit for bit.
+        ``f`` is the reduced function up to a constant.  Negation is exact, so
+        ``-w`` is the projected gradient of ``-f`` bit for bit.
         """
-        norm_c = _finite_norm(c)
-        x0 = -(c0 / norm_c) * (c / norm_c)
+        norm_c = self.norm_c
+        x0 = -(c0 / norm_c) * (self.c / norm_c)
         return x0, self.V.T @ (f.A @ x0 + f.a), evaluate(f, x0)
 
     def failed_conditions(self, sign: int) -> tuple[str, ...]:
@@ -335,10 +331,10 @@ class _PairReduction:
     """The pair ``(f, g)`` reduced once, shared by every consumer.
 
     Construction runs the degenerate screen and the role swap; the pencil
-    fit and the :class:`HyperplaneReduction` of ``f`` along the combined
-    gradient ``c = -ratio*f.a + g.a`` are computed on first use.  After the
-    swap, ``f`` and ``g`` are the analysed pair, and ``f_scale`` and
-    ``g_scale`` their magnitudes ``||A||_F + ||a||``.
+    fit and the :class:`HyperplaneReduction` of ``f`` along the direction
+    ``2*(-ratio*f.a + g.a)`` shared by every level form of the pair are
+    computed on first use.  After the swap, ``f`` and ``g`` are the analysed
+    pair, and ``f_scale`` and ``g_scale`` their magnitudes ``||A||_F + ||a||``.
     """
 
     def __init__(self, f: QuadraticFunction, g: QuadraticFunction, tol: ToleranceSet) -> None:
@@ -366,9 +362,9 @@ class _PairReduction:
 
     @_lazy
     def hyperplane(self) -> HyperplaneReduction:
-        # The terms of c are bounded by those of g - ratio * f.
-        c = -self.ratio * self.f.a + self.g.a
-        c_scale = abs(self.ratio) * self.f_scale + self.g_scale
+        # combination_affine_form's direction, bounded termwise by twice g - ratio * f.
+        c = 2.0 * (-self.ratio * self.f.a + self.g.a)
+        c_scale = 2.0 * (abs(self.ratio) * self.f_scale + self.g_scale)
         return HyperplaneReduction(self.f, c, self.tol, self.f_scale, c_scale)
 
 
@@ -398,21 +394,16 @@ def affine_separates_quadratic(
     tol = tol or ToleranceSet()
     if h.n != f.n:
         raise DimensionMismatch(f"affine form on dimension {h.n}, quadratic on {f.n}")
-    return _affine_separates(f, h, HyperplaneReduction.alone(f, h.c, tol))
+    return _affine_separates(f, h.c0, HyperplaneReduction.alone(f, h.c, tol))
 
 
-def _affine_separates(
-    f: QuadraticFunction, h: AffineForm, red: HyperplaneReduction
-) -> SeparationReport:
-    """:func:`affine_separates_quadratic` reading the facts of ``red``.
-
-    ``red`` reduces ``f`` up to a constant shift, along ``h.c`` or ``h.c / 2``.
-    """
+def _affine_separates(f: QuadraticFunction, c0: float, red: HyperplaneReduction) -> SeparationReport:
+    """Does ``{red.c'x + c0 = 0}`` separate ``{f = 0}``?  ``red`` reduces ``f`` up to a constant shift."""
     if red.c_zero:
         failed = {sign: red.failed_conditions(sign) for sign in (+1, -1)}
         return SeparationReport(False, None, None, None, failed, False)
 
-    x0, w_plus, f_x0 = red.foot(f, h.c, h.c0)
+    x0, w_plus, f_x0 = red.foot(f, c0)
     # The two orientations share all spectral work: negating f negates the
     # restricted form and its pseudoinverse term, so the margins are exact
     # negatives of one another (hence at most one orientation can pass).
@@ -480,22 +471,16 @@ def exists_separating_affine_levels(
     red = HyperplaneReduction.alone(f, c, tol)
     for sign in (+1, -1):
         if not red.failed_conditions(sign):
-            return LevelSearchResult(True, sign, *_separating_levels(red, c, c0, sign))
+            return LevelSearchResult(True, sign, *_separating_levels(red, c0, sign))
     return LevelSearchResult(False, None, None, None)
 
 
-def _separating_levels(
-    red: HyperplaneReduction, c: np.ndarray, c0: float, sign: int
-) -> tuple[float, float]:
-    """Levels ``(gamma, alpha)`` for an orientation ``sign`` that passes ``red``'s conditions.
-
-    ``c`` is the direction used for the levels; ``red`` reduces ``f`` along
-    ``c`` or ``c / 2``.
-    """
-    f, V = red.f, red.V
-    u0, *_ = np.linalg.lstsq(V.T @ f.A, V.T @ f.a, rcond=None)
-    gamma = float(c0 - c @ u0)
-    foot, w, f_foot = red.foot(f, c, c0 - gamma)
+def _separating_levels(red: HyperplaneReduction, c0: float, sign: int) -> tuple[float, float]:
+    """Levels with ``{red.c'x + c0 = gamma}`` separating ``{f = alpha}`` for a passing orientation ``sign``."""
+    f = red.f
+    u0, *_ = np.linalg.lstsq(red.VtA, red.V.T @ f.a, rcond=None)
+    gamma = float(c0 - red.c @ u0)
+    foot, w, f_foot = red.foot(f, c0 - gamma)
     sd_w = red.sd_w if sign > 0 else red.sd_w.negated()
     quad_term, bound = red.margin_terms(sd_w, sign * w, foot, abs(f_foot))
     if quad_term is None:
@@ -522,7 +507,7 @@ def _one_direction(
     if red.fa_zero or red.ratio is None:
         return False, None
     h = combination_affine_form(f, g, red.ratio, alpha, beta)
-    return _affine_separates(f.add_constant(-alpha), h, red.hyperplane).separates, red.ratio
+    return _affine_separates(f.add_constant(-alpha), h.c0, red.hyperplane).separates, red.ratio
 
 
 def level_pair_separation(
@@ -565,13 +550,15 @@ def construct_separation_witness(
     of the hyperplane.
     """
     tol = tol or ToleranceSet()
-    return _separation_witness(HyperplaneReduction.alone(f, h.c, tol), h, report, alpha)
+    if h.n != f.n:
+        raise DimensionMismatch(f"affine form on dimension {h.n}, quadratic on {f.n}")
+    return _separation_witness(HyperplaneReduction.alone(f, h.c, tol), h.c0, report, alpha)
 
 
 def _separation_witness(
-    red: HyperplaneReduction, h: AffineForm, report: SeparationReport, alpha: float
+    red: HyperplaneReduction, c0: float, report: SeparationReport, alpha: float
 ) -> SeparationWitness:
-    """:func:`construct_separation_witness` reading ``eigh(A)`` from ``red``."""
+    """:func:`construct_separation_witness` for ``{red.c'x + c0 = 0}``, reading ``eigh(A)`` from ``red``."""
     f, tol = red.f, red.tol
     if not report.separates or report.orientation is None or report.foot_point is None:
         raise InvalidReport("witness construction requires a successful separation report")
@@ -597,7 +584,7 @@ def _separation_witness(
     u = x0 + t_lo * direction
     v = x0 + t_hi * direction
 
-    h_u, h_v = h(u), h(v)
+    h_u, h_v = float(red.c @ u + c0), float(red.c @ v + c0)
     if not (h_u * h_v < 0.0):
         raise RootFailure("witness points do not fall on opposite sides of the hyperplane")
     f_u, f_v = evaluate(f, u), evaluate(f, v)

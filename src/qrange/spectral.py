@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, ZeroMatrix, ZeroVector
+from .errors import ConvergenceFailure, DimensionMismatch, InvalidInstance, ZeroMatrix, ZeroVector
 
 __all__ = [
     "SpectralData",
@@ -83,14 +83,17 @@ def _wide_norm(x: np.ndarray) -> float:
     :func:`_norm` reads ``inf`` from ``||x|| >= 2**512``.  Only then is the
     norm taken again on ``x`` divided by the power of two of its largest
     ``|entry|`` and scaled back, so every other norm is bit for bit
-    :func:`_norm`'s.  The result is ``inf`` only when the norm itself
-    overflows.
+    :func:`_norm`'s.  A norm that itself overflows is :class:`InvalidInstance`:
+    the direction would be normalised to zero, and every foot point and
+    hyperplane basis built from it would be wrong.
     """
     norm = _norm(x)
     if norm == math.inf:
         _, e = np.frexp(np.abs(x).max())
         with np.errstate(over="ignore"):
             norm = float(np.ldexp(_norm(np.ldexp(x, -e)), e))
+        if norm == math.inf:
+            raise InvalidInstance("direction norm overflows the float range")
     return norm
 
 
@@ -123,7 +126,8 @@ def null_space_basis(c: np.ndarray) -> np.ndarray:
     """An ``n x (n-1)`` orthonormal basis of the hyperplane ``{x : c'x = 0}``.
 
     Built from the Householder reflection sending ``c`` to a coordinate axis,
-    so the result is deterministic.  Raises :class:`ZeroVector` if ``c = 0``.
+    so the result is deterministic.  Raises :class:`ZeroVector` if ``c = 0``
+    and :class:`InvalidInstance` if ``||c||`` overflows.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.shape[0] == 0:
@@ -186,10 +190,18 @@ def apply_pseudoinverse(s: SpectralData, w: np.ndarray, cutoff: float, thr: floa
     Computed spectrally as ``sum (q_i'w)^2 / eig_i`` over the column-space
     eigenpairs of :func:`range_membership`; ``None`` when ``w`` lies outside
     that column space.  (Intended for semidefinite ``M``, where the sign of
-    the result matches the sign of ``M``.)
+    the result matches the sign of ``M``.)  A sum that overflows is
+    :class:`InvalidInstance`: no margin can be measured against it.
     """
     parts = _project(s, w, cutoff, thr)
     if parts is None:
         return None
     coords, vals = parts
-    return float((coords * coords / vals).sum())
+    # Kept eigenvalues exceed cutoff, so every term is below ||coords||^2 / cutoff < 2**1000.
+    if np.vdot(coords, coords) < float(cutoff) * 2.0**1000:
+        return float((coords * coords / vals).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float((coords * coords / vals).sum())
+    if not math.isfinite(quad):
+        raise InvalidInstance("pseudoinverse term overflows the float range")
+    return quad

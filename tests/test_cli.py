@@ -8,8 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrange import ProblemInstance, curated_cases, get_case, load_problem, make_quadratic, save_problem
+from qrange import (
+    ProblemInstance,
+    check_convexity,
+    curated_cases,
+    get_case,
+    load_problem,
+    make_quadratic,
+    save_problem,
+)
 from qrange.cli import main
+from conftest import random_instance
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SPLIT = str(REPO_ROOT / "instances" / "saddle_pair_dependent.json")
@@ -84,7 +93,6 @@ class TestExitCodes:
         assert out == ""
         assert err == "invalid input: coefficient norms overflow the float range\n"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("command", ["check", "witness"])
     @pytest.mark.parametrize("name", [c.name for c in curated_cases() if c.expected.verdict == "NONCONVEX"])
     def test_nonconvex_pairs_at_two_to_the_510_are_never_an_internal_error(self, capsys, tmp_path, command, name):
@@ -112,6 +120,20 @@ class TestExitCodes:
         result = json.loads(out)["result"]
         assert result["verdict"] == "NONCONVEX" and result["verification"]["valid"]
         assert runs[511] == (2, "", "invalid input: coefficient norms overflow the float range\n")
+
+    def test_overflowing_pseudoinverse_term_is_invalid_input(self, capsys, tmp_path):
+        # Draw 3556 of the audit mix at 2^509 with its certificate's levels:
+        # the separation margin's pseudoinverse term overflows.
+        rng = np.random.default_rng(5)
+        for _ in range(3557):
+            p = random_instance(rng)
+        cert = check_convexity(p)
+        s = 2.0**509
+        path = tmp_path / "top.json"
+        save_problem(ProblemInstance(p.f.scaled(s), p.g.scaled(s)), str(path))
+        levels = f"--alpha={s * cert.f_level!r}", f"--beta={s * cert.g_level!r}"
+        code, out, err = run_cli(capsys, "separate", "--input", str(path), *levels)
+        assert (code, out, err) == (2, "", "invalid input: pseudoinverse term overflows the float range\n")
 
     @pytest.mark.parametrize("command", ["check", "fb-check", "witness", "cross-check"])
     def test_underflowing_norms_are_invalid_input(self, capsys, tmp_path, command):
@@ -247,6 +269,15 @@ class TestOtherCommands:
         assert code == 1
         assert out == ""
         assert "usage error" in err
+
+    @pytest.mark.parametrize("flag", ["--tol-eig", "--tol-dep", "--tol-rank", "--tol-psd"])
+    def test_sample_rejects_tolerance_override(self, capsys, tmp_path, flag):
+        # sample decides nothing, so an override would be ignored.
+        code, out, err = run_cli(capsys, "sample", "--input", SPLIT, "--output", str(tmp_path / "cloud"), flag, "0.5")
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDegenerateSampling:

@@ -285,7 +285,6 @@ class TestInvarianceProperties:
                 if cert.verdict == VERDICT_NONCONVEX:
                     assert verify_certificate(scaled, cert)["valid"], (i, s, t)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_near_the_top_of_the_range_is_invalid_input(self):
         # At 2^510 both norms fit, but the witness line's coefficients can
         # overflow.  That is invalid input, not a RootFailure.  The combined
@@ -444,6 +443,14 @@ class TestSharedReduction:
         assert case.expected.final_step == 1
         checker(case.instance)
         assert eigh_calls == []
+
+    @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
+    def test_two_direction_norms_per_nonconvex_case(self, spectral_calls, case):
+        # The reduction's lazy norm_c serves the zero test and every foot
+        # point; null_space_basis measures its input itself.
+        calls = spectral_calls("_wide_norm")
+        assert check_convexity(case.instance).verdict == VERDICT_NONCONVEX
+        assert len(calls) == 2, calls
 
     def test_independent_pencil_is_one_pencil_test(self, spectral_calls):
         calls = spectral_calls("pencil_dependence")

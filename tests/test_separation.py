@@ -8,9 +8,11 @@ import pytest
 from qrange import (
     AffineForm,
     DimensionMismatch,
+    InvalidInstance,
     InvalidReport,
     ToleranceSet,
     affine_separates_quadratic,
+    check_convexity,
     combination_affine_form,
     construct_separation_witness,
     evaluate,
@@ -19,7 +21,7 @@ from qrange import (
     make_quadratic,
     null_space_basis,
 )
-from conftest import random_rotation, symmetric_with_spectrum
+from conftest import random_instance, random_rotation, symmetric_with_spectrum
 
 TOL = ToleranceSet()
 
@@ -201,6 +203,27 @@ class TestLevelPairSeparation:
         assert not rep.g_separates_f and not rep.f_separates_g
         assert rep.ratio_g_on_f is None
 
+    @pytest.mark.parametrize(
+        ("draw", "answer", "overflowing"), [(3556, (True, True), (509, 510)), (3154, (False, True), (510,))]
+    )
+    def test_overflowing_pseudoinverse_term_is_invalid_input(self, draw, answer, overflowing):
+        # f, g and both levels scaled by 2^k keep the answer while the
+        # pseudoinverse term fits; past that the margin would be compared
+        # with inf, so the pair is invalid input, and nothing warns.
+        rng = np.random.default_rng(5)
+        for _ in range(draw + 1):
+            p = random_instance(rng)
+        cert = check_convexity(p)
+        for k in (0, 505, *overflowing):
+            s = 2.0**k
+            args = (p.f.scaled(s), p.g.scaled(s), s * cert.f_level, s * cert.g_level)
+            if k in overflowing:
+                with pytest.raises(InvalidInstance, match="pseudoinverse term overflows"):
+                    level_pair_separation(*args)
+            else:
+                rep = level_pair_separation(*args)
+                assert (rep.g_separates_f, rep.f_separates_g) == answer
+
 
 class TestConstructSeparationWitness:
     def test_hyperbola_witness_points(self):
@@ -222,6 +245,12 @@ class TestConstructSeparationWitness:
         assert evaluate(f, wit.u) == pytest.approx(alpha, abs=1e-9)
         assert evaluate(f, wit.v) == pytest.approx(alpha, abs=1e-9)
         assert wit.h_at_u * wit.h_at_v < 0.0
+
+    def test_dimension_mismatch_rejected(self):
+        f = hyperbola()
+        report = affine_separates_quadratic(f.add_constant(-3.0), AffineForm(np.array([1.0, -5.0]), 0.0))
+        with pytest.raises(DimensionMismatch):
+            construct_separation_witness(f, AffineForm(np.array([1.0, -5.0, 0.0]), 0.0), report, alpha=3.0)
 
     def test_failed_report_rejected(self):
         f = hyperbola()

@@ -8,6 +8,7 @@ import pytest
 from qrange import (
     DimensionMismatch,
     Inertia,
+    InvalidInstance,
     ZeroMatrix,
     ZeroVector,
     apply_pseudoinverse,
@@ -103,6 +104,12 @@ class TestNullSpaceBasis:
         v2 = null_space_basis(1000.0 * c)
         assert np.allclose(v1, v2, atol=1e-12)
 
+    def test_direction_whose_norm_overflows_rejected(self):
+        # Every entry fits but the norm does not: normalised, the direction
+        # would read as zero and the basis would not be orthogonal to it.
+        with pytest.raises(InvalidInstance, match="direction norm overflows"):
+            null_space_basis(np.full(2, 1.7e308))
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             null_space_basis(np.zeros(3))
@@ -155,6 +162,16 @@ class TestApplyPseudoinverse:
 
     def test_zero_vector(self):
         assert pinv_form(np.diag([1.0, 0.0]), np.zeros(2)) == 0.0
+
+    def test_overflowing_term_is_invalid_input(self):
+        # A margin compared against an infinite term would decide on inf.
+        with pytest.raises(InvalidInstance, match="pseudoinverse term overflows"):
+            pinv_form(np.diag([1.0, 4.0]), np.array([2.0**600, 1.0]))
+
+    def test_large_finite_term_keeps_its_bits(self):
+        # Past the bound that needs no check the sum is taken as before and
+        # kept, since it is finite.
+        assert pinv_form(np.diag([1.0, 4.0]), np.array([2.0**490, 2.0**500])) == 2.0**980 + 2.0**998
 
 
 def dependent_ratio(A, B):
@@ -265,9 +282,9 @@ class TestWideNorm:
         x = np.array([0.3, -1.7, 2.2, 0.9]) * 2.0**700
         assert _wide_norm(x) == pytest.approx(np.linalg.norm(x / 2.0**700) * 2.0**700, rel=1e-15)
 
-    def test_only_a_norm_beyond_the_float_range_is_inf(self):
-        with np.errstate(all="raise"):
-            assert _wide_norm(np.full(4, 1e308)) == np.inf
+    def test_a_norm_beyond_the_float_range_is_invalid_input(self):
+        with np.errstate(all="raise"), pytest.raises(InvalidInstance, match="direction norm overflows"):
+            _wide_norm(np.full(4, 1e308))
 
     def test_hyperplane_basis_of_a_direction_above_two_to_the_512(self):
         # The basis is that of the direction brought to unit size, bit for bit.
