@@ -109,7 +109,6 @@ _EXPORTS = {
         "InvalidInstance",
         "InvalidReport",
         "IoFailure",
-        "OutOfRange",
         "RootFailure",
         "ZeroMatrix",
         "ZeroVector",

@@ -5,7 +5,7 @@ Commands::
     qrange check        --input FILE        convexity verdict + certificate
     qrange fb-check     --input FILE        direction-criterion verdict
     qrange cross-check  --input FILE        both checkers; exit 3 on disagreement
-    qrange separate     --input FILE --alpha A --beta B   two-way level separation
+    qrange separate     --input FILE --alpha=A --beta=B   two-way level separation
     qrange witness      --input FILE        nonconvexity witness + verification
     qrange sample       --input FILE --output CSV         range cloud, hole report, CSVs
     qrange reproduce                        curated suite pass/fail table
@@ -27,7 +27,6 @@ from .errors import (
     DegenerateCloud,
     InvalidReport,
     IoFailure,
-    OutOfRange,
     QRangeError,
     RootFailure,
 )
@@ -42,7 +41,7 @@ EXIT_INVALID_INPUT = 2
 EXIT_DISAGREEMENT = 3
 EXIT_INTERNAL = 4
 
-_INTERNAL_ERRORS = (InvalidReport, RootFailure, OutOfRange, ConvergenceFailure)
+_INTERNAL_ERRORS = (InvalidReport, RootFailure, ConvergenceFailure)
 
 
 class _UsageError(Exception):
@@ -75,8 +74,9 @@ def _build_parser() -> _Parser:
 
     p_sep = sub.add_parser("separate", help="two-way level-set separation at given levels")
     add_common(p_sep)
-    p_sep.add_argument("--alpha", type=float, required=True, help="level of f")
-    p_sep.add_argument("--beta", type=float, required=True, help="level of g")
+    # argparse reads a separate "-4e0" as an option, so such a level needs "=".
+    p_sep.add_argument("--alpha", type=float, required=True, help="level of f; write -4e0 as --alpha=-4e0")
+    p_sep.add_argument("--beta", type=float, required=True, help="level of g; write -4e0 as --beta=-4e0")
 
     add_common(sub.add_parser("witness", help="nonconvexity witness with verification"))
 

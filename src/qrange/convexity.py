@@ -32,13 +32,7 @@ import numpy as np
 
 from .errors import InvalidReport
 from .quadratic import ProblemInstance, evaluate
-from .separation import (
-    _affine_separates,
-    _PairReduction,
-    _separating_levels,
-    _separation_witness,
-    combination_affine_form,
-)
+from .separation import _affine_separates, _PairReduction, _separating_levels, _separation_witness
 
 __all__ = [
     "VERDICT_CONVEX",
@@ -233,9 +227,10 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
         return _convex(path, swapped)
     orientation = +1 if pos_ok else -1
 
-    # Construct the certificate: concrete levels, then witness points.  Every
-    # level form of the pair is hp's hyperplane at another offset.
-    c0 = combination_affine_form(f, g, ratio).c0
+    # Construct the certificate at f's stationary point: levels, this
+    # checker's own re-check of them, then witness points.  Every level form
+    # of the pair is hp's hyperplane at another offset.
+    c0 = red.offset()
     gamma, alpha = _separating_levels(hp, c0, orientation)
     beta = ratio * alpha + gamma
     report = _affine_separates(f.add_constant(-alpha), c0 - gamma, hp)
@@ -243,7 +238,7 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
         raise InvalidReport(
             "internal inconsistency: constructed levels failed the separation check"
         )
-    wit = _separation_witness(hp, c0 - gamma, report, alpha)
+    wit = _separation_witness(hp, c0 - gamma, orientation, alpha)
     range_u = np.array([wit.f_at_u, evaluate(g, wit.u)])
     range_v = np.array([wit.f_at_v, evaluate(g, wit.v)])
     gap = np.array([alpha, beta])

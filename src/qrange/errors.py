@@ -12,7 +12,6 @@ __all__ = [
     "ZeroVector",
     "ZeroMatrix",
     "ConvergenceFailure",
-    "OutOfRange",
     "InvalidReport",
     "RootFailure",
     "DegenerateCloud",
@@ -46,10 +45,6 @@ class ZeroMatrix(QRangeError):
 
 class ConvergenceFailure(QRangeError):
     """The underlying eigensolver failed to converge."""
-
-
-class OutOfRange(QRangeError):
-    """A vector lies outside the column space of the matrix it is solved against."""
 
 
 class InvalidReport(QRangeError):

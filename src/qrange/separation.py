@@ -29,19 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidInstance,
-    InvalidReport,
-    OutOfRange,
-    RootFailure,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, InvalidInstance, InvalidReport, RootFailure, ZeroVector
 from .quadratic import QuadraticFunction, ToleranceSet, evaluate
 from .spectral import (
     Inertia,
     SpectralData,
     _norm,
+    _pseudoinverse_solve,
     _wide_norm,
     apply_pseudoinverse,
     eigh,
@@ -199,14 +193,14 @@ class _lazy:
 class HyperplaneReduction:
     """The spectral facts of a quadratic ``f`` relative to the hyperplanes ``{c'x + c0 = 0}``.
 
-    Holds ``eigh(A)`` and its inertia, ``||c||``, the memberships
-    ``a in range(A)`` and ``c in range(A)``, an orthonormal basis ``V`` of
-    ``{c'x = 0}``, the restricted form ``W = V' A V``, ``eigh(W)`` and its
-    inertia.  Each fact is computed on first use and then shared by every
-    consumer, so a caller that stops early pays only for what it read.  No
-    fact depends on ``f``'s constant or on the offset ``c0``, so one
-    reduction serves every level hyperplane of a direction; callers pass
-    only the offset.
+    Holds ``eigh(A)`` and its inertia, the stationary point
+    ``x_c = -pinv(A) a``, ``||c||``, the memberships ``a in range(A)`` and
+    ``c in range(A)``, an orthonormal basis ``V`` of ``{c'x = 0}``, the
+    restricted form ``W = V' A V``, ``eigh(W)`` and its inertia.  Each fact
+    is computed on first use and then shared by every consumer, so a caller
+    that stops early pays only for what it read.  No fact depends on ``f``'s
+    constant or on the offset ``c0``, so one reduction serves every level
+    hyperplane of a direction; callers pass only the offset.
 
     Tolerances are relative: eigenvalues of ``A`` and ``W`` to ``A``'s
     spectral norm, ``f``'s other terms to ``scale = ||A||_F + ||a||`` (the
@@ -234,6 +228,20 @@ class HyperplaneReduction:
     @_lazy
     def ine(self) -> Inertia:
         return inertia(self.sd, self.tol.tol_eig * self.sd.spectral_norm)
+
+    @_lazy
+    def x_c(self) -> np.ndarray:
+        """The stationary point ``-pinv(A) a``.
+
+        The pseudoinverse keeps every eigenpair that :meth:`in_range` or the
+        inertia counts as nonzero, so ``f`` has zero slope at ``x_c`` along
+        the negative eigenvector that the witness line follows, also when
+        ``tol_rank`` exceeds ``tol_eig``.
+        """
+        tol = self.tol
+        cutoff = min(tol.tol_rank, tol.tol_eig) * self.sd.spectral_norm
+        # + 0.0 turns a zero coordinate's -0.0 into +0.0, so no witness prints -0.0.
+        return -_pseudoinverse_solve(self.sd, self.f.a, cutoff) + 0.0
 
     def in_range(self, v: np.ndarray, scale: float) -> bool:
         """Is ``v``, formed from terms of magnitude ``scale``, in the column space of ``A``?"""
@@ -263,12 +271,8 @@ class HyperplaneReduction:
         return null_space_basis(self.c)
 
     @_lazy
-    def VtA(self) -> np.ndarray:
-        return self.V.T @ self.f.A
-
-    @_lazy
     def W(self) -> np.ndarray:
-        W = self.VtA @ self.V
+        W = self.V.T @ self.f.A @ self.V
         return (W + W.T) / 2.0
 
     @_lazy
@@ -278,32 +282,6 @@ class HyperplaneReduction:
     @_lazy
     def ine_w(self) -> Inertia:
         return inertia(self.sd_w, self.tol.tol_psd * self.sd.spectral_norm)
-
-    def margin_terms(
-        self, sd_w: SpectralData, w: np.ndarray, x0: np.ndarray, value: float
-    ) -> tuple[float | None, float]:
-        """The term ``w' pinv(W) w`` at a foot point ``x0``, and the threshold its margin must exceed.
-
-        ``sd_w`` decomposes ``W`` or ``-W``; the term is ``None`` when the
-        projected gradient ``w`` lies off their column space.  Each test is a
-        tolerance times the size of what it compares: with ``r = 1 + ||x0||``,
-        ``scale * r`` bounds ``||A x0 + a||``, and ``value >= |F(x0)|``, the
-        term and ``scale * r**2`` bound the margin ``F(x0) - term``.
-        """
-        r = 1.0 + _norm(x0)
-        tol_rank = self.tol.tol_rank
-        quad = apply_pseudoinverse(sd_w, w, tol_rank * self.sd.spectral_norm, tol_rank * self.scale * r)
-        return quad, self.tol.tol_psd * (value + abs(quad or 0.0) + self.scale * r * r)
-
-    def foot(self, f: QuadraticFunction, c0: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """The foot point ``x0`` of ``{c'x + c0 = 0}``, ``w = V'(A x0 + a)`` and ``f(x0)``.
-
-        ``f`` is the reduced function up to a constant.  Negation is exact, so
-        ``-w`` is the projected gradient of ``-f`` bit for bit.
-        """
-        norm_c = self.norm_c
-        x0 = -(c0 / norm_c) * (self.c / norm_c)
-        return x0, self.V.T @ (f.A @ x0 + f.a), evaluate(f, x0)
 
     def failed_conditions(self, sign: int) -> tuple[str, ...]:
         """The orientation conditions that ``sign * f`` fails; empty means they all hold.
@@ -367,6 +345,16 @@ class _PairReduction:
         c_scale = 2.0 * (abs(self.ratio) * self.f_scale + self.g_scale)
         return HyperplaneReduction(self.f, c, self.tol, self.f_scale, c_scale)
 
+    def offset(self, alpha: float = 0.0, beta: float = 0.0) -> float:
+        """The offset ``c0`` at which ``hyperplane`` is the level form ``-ratio*(f - alpha) + (g - beta)``.
+
+        :class:`InvalidInstance` when it overflows: no hyperplane lies there.
+        """
+        offset = -self.ratio * (self.f.a0 - alpha) + (self.g.a0 - beta)
+        if not math.isfinite(offset):
+            raise InvalidInstance("level form offset overflows the float range")
+        return offset
+
 
 def combination_affine_form(
     f: QuadraticFunction,
@@ -403,11 +391,20 @@ def _affine_separates(f: QuadraticFunction, c0: float, red: HyperplaneReduction)
         failed = {sign: red.failed_conditions(sign) for sign in (+1, -1)}
         return SeparationReport(False, None, None, None, failed, False)
 
-    x0, w_plus, f_x0 = red.foot(f, c0)
+    norm_c = red.norm_c
+    x0 = -(c0 / norm_c) * (red.c / norm_c)
+    f_x0 = evaluate(f, x0)
     # The two orientations share all spectral work: negating f negates the
     # restricted form and its pseudoinverse term, so the margins are exact
     # negatives of one another (hence at most one orientation can pass).
-    quad_term, threshold = red.margin_terms(red.sd_w, w_plus, x0, abs(f_x0))
+    # Each test is a tolerance times the size of what it compares: with
+    # r = 1 + ||x0||, scale * r bounds the projected gradient ||A x0 + a||,
+    # and |f(x0)|, the term and scale * r**2 bound the margin f(x0) - term.
+    r = 1.0 + _norm(x0)
+    tol = red.tol
+    w = red.V.T @ (f.A @ x0 + f.a)
+    quad_term = apply_pseudoinverse(red.sd_w, w, tol.tol_rank * red.sd.spectral_norm, tol.tol_rank * red.scale * r)
+    threshold = tol.tol_psd * (abs(f_x0) + abs(quad_term or 0.0) + red.scale * r * r)
 
     failed: dict[int, tuple[str, ...]] = {}
     near_degenerate = False
@@ -449,18 +446,19 @@ def exists_separating_affine_levels(
     """Do levels ``gamma, alpha`` exist with ``{c'x + c0 = gamma}`` separating ``{f = alpha}``?
 
     Existence depends only on the direction of ``c``: it requires, for some
-    orientation, exactly one negative eigenvalue, both ``f``'s linear term and
-    ``c`` in the column space of ``A``, and the restricted form positive
-    semidefinite.  When these hold, concrete levels are constructed:
+    orientation ``s``, exactly one negative eigenvalue of ``s*A``, both
+    ``f``'s linear term and ``c`` in the column space of ``A``, and ``s*A``
+    positive semidefinite on ``{c'x = 0}``.  When these hold, the levels are
+    built at the stationary point ``x_c = -pinv(A) a``:
 
-    * solve ``V' A u0 = V' a`` (least squares; the sign cancels) and set
-      ``gamma = c0 - c'u0``, which makes the projected gradient at the foot
-      point of ``{c'x + c0 = gamma}`` land inside the restricted form's column
-      space by construction;
-    * push ``alpha`` to ``f(foot) - s*(pinv_term + m)``, which makes the
-      strictness margin ``m`` for orientation ``s`` (small levels for the
-      ``+1`` orientation, large ones for ``-1``).  ``m`` is 1 unless twice
-      the separation check's threshold, over ``1 - tol_psd``, is larger.
+    * ``gamma = c'x_c + c0`` puts the hyperplane through ``x_c``;
+    * ``alpha = f(x_c) - s*M`` with ``M = ||A||_2 * (1 + ||x_c||)**2``, or
+      more where the tolerance of the margin test or the rounding of
+      ``f(x_c)`` needs it.
+
+    The gradient of ``f`` vanishes at ``x_c``, so on the hyperplane
+    ``s*(f(x) - alpha) = M + (x - x_c)' s*A (x - x_c) >= M``: the strictness
+    margin is ``M``, sized like the terms of ``f`` near ``x_c``.
     """
     tol = tol or ToleranceSet()
     c = np.asarray(c, dtype=float)
@@ -477,20 +475,17 @@ def exists_separating_affine_levels(
 
 def _separating_levels(red: HyperplaneReduction, c0: float, sign: int) -> tuple[float, float]:
     """Levels with ``{red.c'x + c0 = gamma}`` separating ``{f = alpha}`` for a passing orientation ``sign``."""
-    f = red.f
-    u0, *_ = np.linalg.lstsq(red.VtA, red.V.T @ f.a, rcond=None)
-    gamma = float(c0 - red.c @ u0)
-    foot, w, f_foot = red.foot(f, c0 - gamma)
-    sd_w = red.sd_w if sign > 0 else red.sd_w.negated()
-    quad_term, bound = red.margin_terms(sd_w, sign * w, foot, abs(f_foot))
-    if quad_term is None:
-        raise OutOfRange("projected gradient lies outside the restricted form's column space")
-    # _affine_separates needs margin > this bound at value |quad_term + margin|.
-    # Twice the smallest such margin clears it, and the |f(foot)| in this
-    # bound also covers the rounding in alpha.
-    margin = max(1.0, 2.0 * bound / (1.0 - red.tol.tol_psd))
-    alpha = f_foot - sign * (quad_term + margin)
-    return gamma, alpha
+    x_c = red.x_c
+    f_c = evaluate(red.f, x_c)
+    r2 = (1.0 + _norm(x_c)) ** 2
+    # The margin is sized like f's terms near x_c, and also clears, twice
+    # over, the threshold that _affine_separates re-checks it against: that
+    # foot point lies no farther out than x_c, its pseudoinverse term is at
+    # most ||A||_2 * ||x_c||**2 <= scale * r2, and alpha rounds by a unit
+    # of |f(x_c)|.
+    tol_psd = red.tol.tol_psd
+    margin = max(red.sd.spectral_norm * r2, 2.0 * tol_psd * (abs(f_c) + 3.0 * red.scale * r2) / (1.0 - tol_psd))
+    return float(red.c @ x_c + c0), f_c - sign * margin
 
 
 def _one_direction(
@@ -506,8 +501,7 @@ def _one_direction(
     # then does the reduction swap roles, so past this test red.f is f.
     if red.fa_zero or red.ratio is None:
         return False, None
-    h = combination_affine_form(f, g, red.ratio, alpha, beta)
-    return _affine_separates(f.add_constant(-alpha), h.c0, red.hyperplane).separates, red.ratio
+    return _affine_separates(f.add_constant(-alpha), red.offset(alpha, beta), red.hyperplane).separates, red.ratio
 
 
 def level_pair_separation(
@@ -543,46 +537,34 @@ def construct_separation_witness(
     """Construct two points of ``{f = alpha}`` strictly on opposite sides of ``{h = 0}``.
 
     ``report`` must be a successful :func:`affine_separates_quadratic` result
-    for ``(f - alpha, h)``.  The points are found on the line through the
-    report's foot point along the oriented matrix's negative-curvature
-    eigenvector: there the shifted function is positive at the foot point and
-    concave along the line, so it has exactly two real roots, one on each side
-    of the hyperplane.
+    for ``(f - alpha, h)``; only its orientation ``s`` is read.  The points
+    are ``x_c -/+ tau*d``, on the line through the stationary point
+    ``x_c = -pinv(A) a`` along the eigenvector ``d`` of ``s*A``'s negative
+    eigenvalue ``lam``.  The gradient vanishes at ``x_c``, so along that line
+    ``s*(f - alpha)`` falls from ``s*(f(x_c) - alpha) > 0`` as
+    ``lam * t**2``, and ``tau = sqrt(s*(f(x_c) - alpha) / |lam|)``.
     """
     tol = tol or ToleranceSet()
     if h.n != f.n:
         raise DimensionMismatch(f"affine form on dimension {h.n}, quadratic on {f.n}")
-    return _separation_witness(HyperplaneReduction.alone(f, h.c, tol), h.c0, report, alpha)
-
-
-def _separation_witness(
-    red: HyperplaneReduction, c0: float, report: SeparationReport, alpha: float
-) -> SeparationWitness:
-    """:func:`construct_separation_witness` for ``{red.c'x + c0 = 0}``, reading ``eigh(A)`` from ``red``."""
-    f, tol = red.f, red.tol
-    if not report.separates or report.orientation is None or report.foot_point is None:
+    if not report.separates or report.orientation is None:
         raise InvalidReport("witness construction requires a successful separation report")
-    sign = report.orientation
-    x0 = report.foot_point
-    k = 0 if sign > 0 else -1  # the least eigenpair of sign * A
-    lead = sign * float(red.sd.eigenvalues[k])
-    if lead >= 0.0:
-        raise InvalidReport("oriented matrix has no negative-curvature direction")
-    direction = red.sd.eigenvectors[:, k]
+    return _separation_witness(HyperplaneReduction.alone(f, h.c, tol), h.c0, report.orientation, alpha)
 
-    const = sign * (evaluate(f, x0) - alpha)
-    # Negate the direction, not the dot: a zero slope must stay +0.0 for copysign.
-    lin = float(2.0 * (sign * direction) @ (f.A @ x0 + f.a))
-    disc = lin * lin - 4.0 * lead * const
-    if not math.isfinite(disc):
-        raise InvalidInstance("witness line coefficients overflow the float range")
-    if disc <= 0.0:
-        raise RootFailure(f"no two real roots along the witness line (disc={disc:.3e})")
-    q = -(lin + float(np.copysign(np.sqrt(disc), lin))) / 2.0
-    t1, t2 = q / lead, const / q
-    t_lo, t_hi = (t1, t2) if t1 <= t2 else (t2, t1)
-    u = x0 + t_lo * direction
-    v = x0 + t_hi * direction
+
+def _separation_witness(red: HyperplaneReduction, c0: float, sign: int, alpha: float) -> SeparationWitness:
+    """:func:`construct_separation_witness` for ``{red.c'x + c0 = 0}`` and orientation ``sign``."""
+    f, tol = red.f, red.tol
+    k = 0 if sign > 0 else -1  # the least eigenpair of sign * A
+    lam = sign * float(red.sd.eigenvalues[k])
+    if lam >= 0.0:
+        raise InvalidReport("oriented matrix has no negative-curvature direction")
+    x_c = red.x_c
+    height = sign * (evaluate(f, x_c) - alpha)
+    if not height > 0.0:
+        raise RootFailure(f"f at the stationary point lies on the wrong side of the level (height={height:.3e})")
+    step = math.sqrt(height / -lam) * red.sd.eigenvectors[:, k]
+    u, v = x_c - step, x_c + step
 
     h_u, h_v = float(red.c @ u + c0), float(red.c @ v + c0)
     if not (h_u * h_v < 0.0):

@@ -41,14 +41,6 @@ class SpectralData:
     eigenvectors: np.ndarray
     spectral_norm: float
 
-    def negated(self) -> "SpectralData":
-        """The decomposition of ``-M``: eigenvalues negated, eigenpairs reversed, so still ascending."""
-        vals = np.ascontiguousarray(-self.eigenvalues[::-1])
-        vecs = np.ascontiguousarray(self.eigenvectors[:, ::-1])
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        return SpectralData(vals, vecs, self.spectral_norm)
-
 
 @dataclass(frozen=True)
 class Inertia:
@@ -141,6 +133,12 @@ def null_space_basis(c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(H[:, 1:])
 
 
+def _column_space(s: SpectralData, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvectors with ``|eig| > cutoff``, as columns, and their eigenvalues."""
+    keep = np.abs(s.eigenvalues) > cutoff
+    return s.eigenvectors[:, keep], s.eigenvalues[keep]
+
+
 def _project(s: SpectralData, v: np.ndarray, cutoff: float, thr: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Coordinates of ``v`` on the column-space eigenvectors and their eigenvalues.
 
@@ -152,12 +150,11 @@ def _project(s: SpectralData, v: np.ndarray, cutoff: float, thr: float) -> tuple
         raise DimensionMismatch(
             f"vector has shape {v.shape}, expected ({s.eigenvectors.shape[0]},)"
         )
-    keep = np.abs(s.eigenvalues) > cutoff
-    Q = s.eigenvectors[:, keep]
+    Q, vals = _column_space(s, cutoff)
     coords = Q.T @ v
     if _norm(v - Q @ coords) > thr:
         return None
-    return coords, s.eigenvalues[keep]
+    return coords, vals
 
 
 def range_membership(s: SpectralData, v: np.ndarray, cutoff: float, thr: float) -> bool:
@@ -205,3 +202,9 @@ def apply_pseudoinverse(s: SpectralData, w: np.ndarray, cutoff: float, thr: floa
     if not math.isfinite(quad):
         raise InvalidInstance("pseudoinverse term overflows the float range")
     return quad
+
+
+def _pseudoinverse_solve(s: SpectralData, v: np.ndarray, cutoff: float) -> np.ndarray:
+    """``pinv(M) v`` over the eigenpairs with ``|eig| > cutoff``, for the ``M`` that ``s`` decomposes."""
+    Q, vals = _column_space(s, cutoff)
+    return Q @ ((Q.T @ v) / vals)

@@ -10,7 +10,6 @@ import pytest
 
 from qrange import (
     ProblemInstance,
-    check_convexity,
     curated_cases,
     get_case,
     load_problem,
@@ -122,16 +121,17 @@ class TestExitCodes:
         assert runs[511] == (2, "", "invalid input: coefficient norms overflow the float range\n")
 
     def test_overflowing_pseudoinverse_term_is_invalid_input(self, capsys, tmp_path):
-        # Draw 3556 of the audit mix at 2^509 with its certificate's levels:
-        # the separation margin's pseudoinverse term overflows.
+        # Draw 3556 of the audit mix at 2^509 with pinned levels (not its
+        # certificate's, at which the term fits): the separation margin's
+        # pseudoinverse term overflows.
         rng = np.random.default_rng(5)
         for _ in range(3557):
             p = random_instance(rng)
-        cert = check_convexity(p)
+        alpha, beta = float.fromhex("-0x1.0044fe5f9f9c8p+2"), float.fromhex("0x1.0ab2b973f39e3p+5")
         s = 2.0**509
         path = tmp_path / "top.json"
         save_problem(ProblemInstance(p.f.scaled(s), p.g.scaled(s)), str(path))
-        levels = f"--alpha={s * cert.f_level!r}", f"--beta={s * cert.g_level!r}"
+        levels = f"--alpha={s * alpha!r}", f"--beta={s * beta!r}"
         code, out, err = run_cli(capsys, "separate", "--input", str(path), *levels)
         assert (code, out, err) == (2, "", "invalid input: pseudoinverse term overflows the float range\n")
 
@@ -209,6 +209,14 @@ class TestOtherCommands:
         doc = json.loads(out)["result"]
         assert doc["g_separates_f"] is True
         assert doc["f_separates_g"] is True
+
+    @pytest.mark.parametrize("alpha", ["-4e0", "-1.2e+154"])
+    def test_separate_takes_negative_exponent_levels_with_equals(self, capsys, alpha):
+        # argparse reads a separate "-4e0" as an option, as --help says.
+        code, out, err = run_cli(capsys, "separate", "--input", MUTUAL, f"--alpha={alpha}", "--beta=2e0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["f_level"] == float(alpha)
+        assert run_cli(capsys, "separate", "--input", MUTUAL, "--alpha", alpha, "--beta", "2e0")[0] == 1
 
     def test_witness_verifies(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--input", SPLIT)

@@ -13,6 +13,7 @@ from qrange import (
     VERDICT_NONCONVEX,
     InvalidInstance,
     ProblemInstance,
+    ToleranceSet,
     check_convexity,
     check_flores_bazan,
     cross_check,
@@ -23,7 +24,7 @@ from qrange import (
     make_quadratic,
     verify_certificate,
 )
-from qrange import quadratic, spectral
+from qrange import quadratic, separation, spectral
 from conftest import differential_batch, random_instance, transformed_instance
 
 
@@ -255,12 +256,32 @@ class TestInvarianceProperties:
         for _ in range(20):
             p = random_instance(rng)
             base = check_convexity(p).verdict
-            # The built margin also clears the rounding of levels near 1e16.
             for df, dg in ((3.7, -2.2), (1e16, -1e16)):
                 shifted = ProblemInstance(p.f.add_constant(df), p.g.add_constant(dg), p.tolerances)
                 cert = check_convexity(shifted)
                 assert cert.verdict == base
                 assert verify_certificate(shifted, cert)["valid"]
+        # saddle_pair_dependent's margin ||A||_2 * (1 + ||x_c||)^2 is 1, below
+        # the float spacing of f's values near 1e16; the built margin also
+        # clears the rounding of levels there.
+        p = get_case("saddle_pair_dependent").instance
+        for df in (1e16, -1e16, 1e17, -1e17):
+            shifted = ProblemInstance(p.f.add_constant(df), p.g, p.tolerances)
+            cert = check_convexity(shifted)
+            assert cert.verdict == VERDICT_NONCONVEX
+            assert verify_certificate(shifted, cert)["valid"]
+
+    def test_far_stationary_point_levels_pass_the_recheck(self):
+        # ||x_c|| is about 1e9, so the re-check's threshold, which grows
+        # like ||a|| * ||x_c||^2, is above ||A||_2 * (1 + ||x_c||)^2 at
+        # tol_psd = 1e-6; the built margin clears it all the same.
+        f = make_quadratic(np.diag([1.0, -1.0]), [1e9, 3e8], 0.0)
+        g = make_quadratic(np.diag([2.0, -2.0]), [0.0, 1.0], 0.0)
+        for tol in (ToleranceSet(), ToleranceSet(tol_psd=1e-6)):
+            p = ProblemInstance(f, g, tol)
+            cert = check_convexity(p)
+            assert cert.verdict == VERDICT_NONCONVEX
+            assert verify_certificate(p, cert)["valid"]
 
     def test_value_scaling_preserves_verdict(self):
         rng = np.random.default_rng(57)
@@ -271,26 +292,82 @@ class TestInvarianceProperties:
             assert check_convexity(scaled).verdict == base
         # Every threshold scales with its function, so neither exact common
         # factors 2^k nor independent factors over 16 decades move a verdict,
-        # and every certificate built at those scales verifies.
+        # and every certificate built at those scales verifies.  The margin
+        # is sized by the data, so certificates verify near both ends of the
+        # float range too; those factors run on the NONCONVEX draws only.
         rng = np.random.default_rng(5)
         draws = [random_instance(rng) for _ in range(4000)]
         independent = 10.0 ** np.random.default_rng(11).uniform(-8.0, 8.0, size=(4000, 2))
         common = [(2.0**k, 2.0**k) for k in (-40, -27, -14, 14, 27, 40)]
+        extreme = [(2.0**k, 2.0**k) for k in (-505, -300, -100, 500)]
         for i, p in enumerate(draws):
             base = check_convexity(p).verdict
-            for s, t in common + [tuple(independent[i])]:
+            for s, t in common + [tuple(independent[i])] + (extreme if base == VERDICT_NONCONVEX else []):
                 scaled = ProblemInstance(p.f.scaled(s), p.g.scaled(t), p.tolerances)
                 cert = check_convexity(scaled)
                 assert cert.verdict == base, (i, s, t)
                 if cert.verdict == VERDICT_NONCONVEX:
                     assert verify_certificate(scaled, cert)["valid"], (i, s, t)
 
+    @staticmethod
+    def with_weak_negative_eigenvalue(p, cert, x, tol=None):
+        """``p`` with its oriented lone negative eigenvalue moved to ``-x * ||A||_2``.
+
+        ``A`` is the analysed matrix and keeps its eigenvectors; the other
+        matrix is rebuilt as ``ratio * A``, so the pencil stays dependent.
+        Given tolerances ``tol``, both linear terms are also rebuilt as ``A``
+        times their old preimages, so they stay in ``A``'s column space.
+        """
+        f, g = (p.g, p.f) if cert.swapped else (p.f, p.g)
+        s = cert.orientation
+        vals, vecs = np.linalg.eigh(s * f.A)
+        vals[0] = -x * np.abs(vals).max()
+        a_mat = s * (vecs * vals) @ vecs.T
+        a_mat = (a_mat + a_mat.T) / 2.0
+        fa, ga = f.a, g.a
+        if tol is not None:
+            fa, ga = a_mat @ np.linalg.solve(f.A, fa), a_mat @ np.linalg.solve(f.A, ga)
+        f = make_quadratic(a_mat, fa, f.a0)
+        g = make_quadratic(cert.pencil_ratio * f.A, ga, g.a0)
+        return ProblemInstance(*((g, f) if cert.swapped else (f, g)), tol or p.tolerances)
+
+    def test_weak_negative_eigenvalue_certificates_verify(self):
+        # A weak lone negative eigenvalue makes the witness line long.  Built
+        # from the stationary point it is still accurate: every pair stays
+        # NONCONVEX with a certificate that verifies, and nothing raises.
+        rng = np.random.default_rng(5)
+        pairs = []
+        while len(pairs) < 40:
+            p = random_instance(rng)
+            cert = check_convexity(p)
+            if cert.verdict == VERDICT_NONCONVEX:
+                pairs.append((p, cert))
+        for x in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+            for i, (p, cert) in enumerate(pairs):
+                q = self.with_weak_negative_eigenvalue(p, cert, x)
+                weak = check_convexity(q)
+                assert weak.verdict == VERDICT_NONCONVEX, (x, i)
+                assert verify_certificate(q, weak)["valid"], (x, i)
+        # With the rank cutoff above the eigenvalue cutoff, a weak eigenvalue
+        # counts as negative yet lies below the column-space cutoff; the
+        # witness line still starts where f's slope along it is zero.
+        tol = ToleranceSet(tol_rank=1e-3)
+        decided = 0
+        for x in (1e-8, 1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2):
+            for i, (p, cert) in enumerate(pairs):
+                q = self.with_weak_negative_eigenvalue(p, cert, x, tol)
+                weak = check_convexity(q)
+                if weak.verdict == VERDICT_NONCONVEX:
+                    assert verify_certificate(q, weak)["valid"], (x, i)
+                    decided += 1
+        assert decided >= 50
+
     def test_overflow_near_the_top_of_the_range_is_invalid_input(self):
-        # At 2^510 both norms fit, but the witness line's coefficients can
-        # overflow.  That is invalid input, not a RootFailure.  The combined
-        # gradient's squared norm can overflow too; its norm is then taken on
-        # the gradient brought to unit size, so those draws are decided, with
-        # the unscaled verdict and a certificate that verifies.
+        # At 2^510 both norms can fit while the re-check's pseudoinverse
+        # term overflows.  That is invalid input, not a RootFailure.  The
+        # combined gradient's squared norm can overflow too; its norm is then
+        # taken on the gradient brought to unit size, so those draws are
+        # decided, with the unscaled verdict and a certificate that verifies.
         rejected = set()
         for p in differential_batch(5, 250):
             base = check_convexity(p).verdict
@@ -305,7 +382,7 @@ class TestInvarianceProperties:
                 assert verify_certificate(scaled, cert)["valid"]
         assert rejected == {
             "coefficient norms overflow the float range",
-            "witness line coefficients overflow the float range",
+            "pseudoinverse term overflows the float range",
         }
 
     def test_large_scale_certificate_verifies(self):
@@ -452,6 +529,15 @@ class TestSharedReduction:
         assert check_convexity(case.instance).verdict == VERDICT_NONCONVEX
         assert len(calls) == 2, calls
 
+    @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
+    def test_certify_builds_no_affine_form(self, monkeypatch, case):
+        # The level offset is read from the pair's reduction, not from an AffineForm.
+        built = []
+        monkeypatch.setattr(separation.AffineForm, "__post_init__", lambda self: built.append(self))
+        cert = check_convexity(case.instance)
+        assert verify_certificate(case.instance, cert)["valid"]
+        assert built == []
+
     def test_independent_pencil_is_one_pencil_test(self, spectral_calls):
         calls = spectral_calls("pencil_dependence")
         check_convexity(next(c for c in curated_cases() if c.name == "bowl_vs_sheet_3d").instance)
@@ -459,12 +545,13 @@ class TestSharedReduction:
 
     @pytest.fixture
     def numpy_wrapper_calls(self, monkeypatch):
-        """The names of the calls made to ``numpy.linalg.norm``, ``numpy.allclose`` and ``numpy.errstate``.
+        """The names of the calls made to ``numpy.linalg.norm``, ``numpy.linalg.lstsq``, ``numpy.allclose`` and ``numpy.errstate``.
 
-        ``numpy.linalg`` binds its own ``errstate``, so only qrange's entries count.
+        ``numpy.linalg`` binds its own ``errstate``, so only qrange's entries
+        count.  The certificate is built in closed form, so it solves nothing.
         """
         calls = []
-        for owner, name in ((np.linalg, "norm"), (np, "allclose"), (np, "errstate")):
+        for owner, name in ((np.linalg, "norm"), (np.linalg, "lstsq"), (np, "allclose"), (np, "errstate")):
             original = getattr(owner, name)
 
             def counting(*args, _label=f"{owner.__name__}.{name}", _original=original, **kwargs):

@@ -12,7 +12,6 @@ from qrange import (
     InvalidReport,
     ToleranceSet,
     affine_separates_quadratic,
-    check_convexity,
     combination_affine_form,
     construct_separation_witness,
     evaluate,
@@ -131,12 +130,14 @@ class TestAffineSeparatesQuadratic:
 
 class TestExistsSeparatingAffineLevels:
     def test_shifted_saddle_levels(self):
+        # The stationary point is the origin, so the hyperplane passes through
+        # it and alpha = f(0) - M with M = ||A||_2 * (1 + 0)^2 = 4.
         f = hyperbola(1.0)
         result = exists_separating_affine_levels(f, np.array([2.0, 0.0]), TOL)
         assert result.exists
         assert result.orientation == +1
-        assert result.gamma == pytest.approx(0.0, abs=1e-12)
-        assert result.alpha == pytest.approx(0.0, abs=1e-12)
+        assert result.gamma == 0.0
+        assert result.alpha == 1.0 - 4.0
 
     def test_constructed_levels_actually_separate(self):
         rng = np.random.default_rng(17)
@@ -146,7 +147,8 @@ class TestExistsSeparatingAffineLevels:
             spec = np.sort(rng.uniform(0.2, 2.0, n))
             spec[0] = -spec[0]
             a_mat = symmetric_with_spectrum(rng, spec)
-            f = make_quadratic(a_mat, a_mat @ rng.uniform(-1, 1, n), float(rng.uniform(-2, 2)))
+            u = rng.uniform(-1, 1, n)
+            f = make_quadratic(a_mat, a_mat @ u, float(rng.uniform(-2, 2)))
             c = a_mat @ rng.standard_normal(n)
             if np.linalg.norm(c) < 1e-9:
                 continue
@@ -159,7 +161,11 @@ class TestExistsSeparatingAffineLevels:
             report = affine_separates_quadratic(shifted, h, TOL)
             assert report.separates
             assert report.orientation == result.orientation
-            assert report.margin == pytest.approx(1.0, abs=1e-7)
+            # The hyperplane passes through the stationary point x_c = -u,
+            # where the margin is M = ||A||_2 * (1 + ||x_c||)^2.
+            margin = np.abs(spec).max() * (1.0 + np.linalg.norm(u)) ** 2
+            assert report.margin == pytest.approx(margin, rel=1e-9)
+            assert abs(h(-u)) <= 1e-12 * np.linalg.norm(c)
         assert hits >= 10
 
     def test_no_negative_direction_fails(self):
@@ -204,19 +210,25 @@ class TestLevelPairSeparation:
         assert rep.ratio_g_on_f is None
 
     @pytest.mark.parametrize(
-        ("draw", "answer", "overflowing"), [(3556, (True, True), (509, 510)), (3154, (False, True), (510,))]
+        ("draw", "levels", "answer", "overflowing"),
+        [
+            (3556, ("-0x1.0044fe5f9f9c8p+2", "0x1.0ab2b973f39e3p+5"), (True, True), (509, 510)),
+            (3154, ("-0x1.7d56a2170bf6fp+4", "0x1.14c65b0af8f8cp+5"), (False, True), (510,)),
+        ],
     )
-    def test_overflowing_pseudoinverse_term_is_invalid_input(self, draw, answer, overflowing):
+    def test_overflowing_pseudoinverse_term_is_invalid_input(self, draw, levels, answer, overflowing):
         # f, g and both levels scaled by 2^k keep the answer while the
         # pseudoinverse term fits; past that the margin would be compared
-        # with inf, so the pair is invalid input, and nothing warns.
+        # with inf, so the pair is invalid input, and nothing warns.  The
+        # levels are pinned: the draw's certificate today has levels at which
+        # the term fits even at 2^510.
         rng = np.random.default_rng(5)
         for _ in range(draw + 1):
             p = random_instance(rng)
-        cert = check_convexity(p)
+        alpha, beta = map(float.fromhex, levels)
         for k in (0, 505, *overflowing):
             s = 2.0**k
-            args = (p.f.scaled(s), p.g.scaled(s), s * cert.f_level, s * cert.g_level)
+            args = (p.f.scaled(s), p.g.scaled(s), s * alpha, s * beta)
             if k in overflowing:
                 with pytest.raises(InvalidInstance, match="pseudoinverse term overflows"):
                     level_pair_separation(*args)
