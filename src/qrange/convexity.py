@@ -318,7 +318,10 @@ def _check_flores_bazan(red: _PairReduction) -> FBReport:
         return FBReport(VERDICT_CONVEX, swapped, None, conditions)
 
     hp = red.hyperplane
-    ine, a_in, b_in = hp.ine, hp.a_in, hp.in_range(red.g.a, red.g_scale)
+    ine, a_in = hp.ine, hp.a_in
+    # g.a = c/2 + ratio*f.a, so once f.a lies in the column space, g.a does
+    # exactly when c does or vanishes: read the separation path's decision.
+    b_in = (hp.c_zero or hp.c_in) if a_in else hp.in_range(red.g.a, red.g_scale)
     conditions["linear_terms_in_column_space"] = {"f": bool(a_in), "g": bool(b_in)}
     conditions["combined_gradient_nonzero"] = not hp.c_zero
 
@@ -348,7 +351,9 @@ def verify_certificate(p: ProblemInstance, cert: ConvexityCertificate) -> dict[s
 
     The witness promises two attained range points and an unattained point
     between them: both witness points hit the analyzed quadratic's level
-    within ``tol_residual``, the other function's values straddle its level
+    within ``tol_residual * |level|`` plus rounding, 64 units of the terms
+    ``||A||_F * r**2 + 2 * ||a|| * r + |a0|`` it sums at the farther point
+    (``r`` its norm), the other function's values straddle its level
     strictly, and the stored range points match fresh evaluations to within
     ``1e-12 + 1e-12 * |stored|`` each.  When the certificate analyzed the
     swapped pair, the roles of ``f`` and ``g`` in those checks swap
@@ -371,8 +376,13 @@ def verify_certificate(p: ProblemInstance, cert: ConvexityCertificate) -> dict[s
 
     residual_u = abs(fresh_u[hit] - levels[hit])
     residual_v = abs(fresh_v[hit] - levels[hit])
-    level_scale = max(1.0, abs(levels[hit]))
-    levels_hit = residual_u <= tol.tol_residual * level_scale and residual_v <= tol.tol_residual * level_scale
+    # The miss is measured against the level; 64 units of rounding of the
+    # terms the function sums at the farther witness point are allowed on top.
+    q = (p.f, p.g)[hit]
+    r = max(math.sqrt(np.vdot(wit.u, wit.u)), math.sqrt(np.vdot(wit.v, wit.v)))
+    terms = math.sqrt(np.vdot(q.A, q.A)) * r * r + 2.0 * math.sqrt(np.vdot(q.a, q.a)) * r + abs(q.a0)
+    allowed = tol.tol_residual * abs(levels[hit]) + 64.0 * 2.0**-52 * terms
+    levels_hit = residual_u <= allowed and residual_v <= allowed and math.isfinite(allowed)
     strictly_straddles = (fresh_u[side] - levels[side]) * (fresh_v[side] - levels[side]) < 0.0
 
     stored = wit.range_at_u.tolist() + wit.range_at_v.tolist()

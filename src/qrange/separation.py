@@ -34,15 +34,15 @@ from .quadratic import QuadraticFunction, ToleranceSet, evaluate
 from .spectral import (
     Inertia,
     SpectralData,
+    _column_space,
     _norm,
-    _pseudoinverse_solve,
+    _project,
     _wide_norm,
     apply_pseudoinverse,
     eigh,
     inertia,
     null_space_basis,
     pencil_dependence,
-    range_membership,
 )
 
 __all__ = [
@@ -151,6 +151,12 @@ class LevelPairReport:
     ratio_f_on_g: float | None
 
 
+# How far, in units of the terms it sums, the other function's values at
+# the witness points must lie from its level: a few units of rounding.
+_STRADDLE_ULPS = 16.0 * 2.0**-52
+# The rounding a witness value may carry, in units of the terms f sums there.
+_LEVEL_ULPS = 64.0 * 2.0**-52
+
 # The square root of the smallest normal float: a norm below it has a
 # subnormal square, which has lost precision or flushed to zero.
 _TINY_NORM = 2.0**-511
@@ -204,7 +210,11 @@ class HyperplaneReduction:
 
     Tolerances are relative: eigenvalues of ``A`` and ``W`` to ``A``'s
     spectral norm, ``f``'s other terms to ``scale = ||A||_F + ||a||`` (the
-    constant only shifts the range), and ``c`` to ``c_scale``.
+    constant only shifts the range), and ``c`` to ``c_scale``.  The column
+    space and pseudoinverse of ``A`` or ``W`` keep every eigenpair above
+    ``min(tol_rank, t) * ||A||_2``, with ``t`` that matrix's inertia
+    tolerance (``tol_eig`` or ``tol_psd``), so none drops an eigenpair its
+    inertia counts as nonzero.
     """
 
     def __init__(
@@ -229,24 +239,26 @@ class HyperplaneReduction:
     def ine(self) -> Inertia:
         return inertia(self.sd, self.tol.tol_eig * self.sd.spectral_norm)
 
+    def negative_pair(self, sign: int) -> tuple[float, np.ndarray]:
+        """The least eigenvalue of ``sign * A`` and its unit eigenvector."""
+        k = 0 if sign > 0 else -1
+        return sign * float(self.sd.eigenvalues[k]), self.sd.eigenvectors[:, k]
+
+    @_lazy
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """The column space of ``A``: its kept eigenvectors, as columns, and their eigenvalues."""
+        return _column_space(self.sd, min(self.tol.tol_rank, self.tol.tol_eig) * self.sd.spectral_norm)
+
     @_lazy
     def x_c(self) -> np.ndarray:
-        """The stationary point ``-pinv(A) a``.
-
-        The pseudoinverse keeps every eigenpair that :meth:`in_range` or the
-        inertia counts as nonzero, so ``f`` has zero slope at ``x_c`` along
-        the negative eigenvector that the witness line follows, also when
-        ``tol_rank`` exceeds ``tol_eig``.
-        """
-        tol = self.tol
-        cutoff = min(tol.tol_rank, tol.tol_eig) * self.sd.spectral_norm
+        """The stationary point ``-pinv(A) a``."""
+        Q, vals = self.split
         # + 0.0 turns a zero coordinate's -0.0 into +0.0, so no witness prints -0.0.
-        return -_pseudoinverse_solve(self.sd, self.f.a, cutoff) + 0.0
+        return -(Q @ ((Q.T @ self.f.a) / vals)) + 0.0
 
     def in_range(self, v: np.ndarray, scale: float) -> bool:
         """Is ``v``, formed from terms of magnitude ``scale``, in the column space of ``A``?"""
-        tol_rank = self.tol.tol_rank
-        return range_membership(self.sd, v, tol_rank * self.sd.spectral_norm, tol_rank * scale)
+        return _project(self.split[0], v, self.tol.tol_rank * scale) is not None
 
     @_lazy
     def a_in(self) -> bool:
@@ -403,7 +415,8 @@ def _affine_separates(f: QuadraticFunction, c0: float, red: HyperplaneReduction)
     r = 1.0 + _norm(x0)
     tol = red.tol
     w = red.V.T @ (f.A @ x0 + f.a)
-    quad_term = apply_pseudoinverse(red.sd_w, w, tol.tol_rank * red.sd.spectral_norm, tol.tol_rank * red.scale * r)
+    cutoff = min(tol.tol_rank, tol.tol_psd) * red.sd.spectral_norm
+    quad_term = apply_pseudoinverse(red.sd_w, w, cutoff, tol.tol_rank * red.scale * r)
     threshold = tol.tol_psd * (abs(f_x0) + abs(quad_term or 0.0) + red.scale * r * r)
 
     failed: dict[int, tuple[str, ...]] = {}
@@ -453,8 +466,9 @@ def exists_separating_affine_levels(
 
     * ``gamma = c'x_c + c0`` puts the hyperplane through ``x_c``;
     * ``alpha = f(x_c) - s*M`` with ``M = ||A||_2 * (1 + ||x_c||)**2``, or
-      more where the tolerance of the margin test or the rounding of
-      ``f(x_c)`` needs it.
+      more where the tolerance of the margin test, the rounding of
+      ``f(x_c)``, or the rounding of values at the witness points that must
+      straddle a level on either side of the hyperplane needs it.
 
     The gradient of ``f`` vanishes at ``x_c``, so on the hyperplane
     ``s*(f(x) - alpha) = M + (x - x_c)' s*A (x - x_c) >= M``: the strictness
@@ -485,6 +499,15 @@ def _separating_levels(red: HyperplaneReduction, c0: float, sign: int) -> tuple[
     # of |f(x_c)|.
     tol_psd = red.tol.tol_psd
     margin = max(red.sd.spectral_norm * r2, 2.0 * tol_psd * (abs(f_c) + 3.0 * red.scale * r2) / (1.0 - tol_psd))
+    # The witness points x_c -/+ tau*d, tau = sqrt(margin / |lam|), lie
+    # tau * |c'd| off the hyperplane, and the other function's values there
+    # lie about that far from its level.  That must clear the rounding of
+    # the terms it sums: |c0| holds its constant and c_scale bounds the rest.
+    lam, d = red.negative_pair(sign)
+    slope = abs(float(red.c @ d))
+    if slope > 0.0:
+        reach = _STRADDLE_ULPS * (abs(c0) + red.c_scale * r2) / slope
+        margin = max(margin, -lam * reach * reach)
     return float(red.c @ x_c + c0), f_c - sign * margin
 
 
@@ -555,23 +578,25 @@ def construct_separation_witness(
 def _separation_witness(red: HyperplaneReduction, c0: float, sign: int, alpha: float) -> SeparationWitness:
     """:func:`construct_separation_witness` for ``{red.c'x + c0 = 0}`` and orientation ``sign``."""
     f, tol = red.f, red.tol
-    k = 0 if sign > 0 else -1  # the least eigenpair of sign * A
-    lam = sign * float(red.sd.eigenvalues[k])
+    lam, d = red.negative_pair(sign)
     if lam >= 0.0:
         raise InvalidReport("oriented matrix has no negative-curvature direction")
     x_c = red.x_c
     height = sign * (evaluate(f, x_c) - alpha)
     if not height > 0.0:
         raise RootFailure(f"f at the stationary point lies on the wrong side of the level (height={height:.3e})")
-    step = math.sqrt(height / -lam) * red.sd.eigenvectors[:, k]
+    step = math.sqrt(height / -lam) * d
     u, v = x_c - step, x_c + step
 
     h_u, h_v = float(red.c @ u + c0), float(red.c @ v + c0)
     if not (h_u * h_v < 0.0):
         raise RootFailure("witness points do not fall on opposite sides of the hyperplane")
     f_u, f_v = evaluate(f, u), evaluate(f, v)
-    level_scale = max(1.0, abs(alpha))
-    for value in (f_u, f_v):
-        if abs(value - alpha) > tol.tol_residual * level_scale:
-            raise RootFailure("witness point misses the target level beyond tolerance")
+    # Each value may miss alpha by tol_residual * |alpha|, plus rounding: a
+    # few units of the terms f sums at the farther point, which bound the
+    # rounding of x_c, f(x_c) and the step too.
+    r = max(_norm(u), _norm(v))
+    allowed = tol.tol_residual * abs(alpha) + _LEVEL_ULPS * (_norm(f.A) * r * r + 2.0 * _norm(f.a) * r + abs(f.a0))
+    if not (abs(f_u - alpha) <= allowed and abs(f_v - alpha) <= allowed and math.isfinite(allowed)):
+        raise RootFailure("witness point misses the target level beyond tolerance")
     return SeparationWitness(u, v, float(alpha), h_u, h_v, f_u, f_v)

@@ -139,27 +139,23 @@ def _column_space(s: SpectralData, cutoff: float) -> tuple[np.ndarray, np.ndarra
     return s.eigenvectors[:, keep], s.eigenvalues[keep]
 
 
-def _project(s: SpectralData, v: np.ndarray, cutoff: float, thr: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Coordinates of ``v`` on the column-space eigenvectors and their eigenvalues.
+def _project(Q: np.ndarray, v: np.ndarray, thr: float) -> np.ndarray | None:
+    """Coordinates of ``v`` on the kept eigenvectors ``Q`` of a :func:`_column_space` split.
 
-    The column space is spanned by the eigenvectors with ``|eig| > cutoff``;
-    ``None`` when the residual of ``v`` off it exceeds ``thr``.
+    ``None`` when the residual of ``v`` off their span exceeds ``thr``.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (s.eigenvectors.shape[0],):
-        raise DimensionMismatch(
-            f"vector has shape {v.shape}, expected ({s.eigenvectors.shape[0]},)"
-        )
-    Q, vals = _column_space(s, cutoff)
+    if v.shape != (Q.shape[0],):
+        raise DimensionMismatch(f"vector has shape {v.shape}, expected ({Q.shape[0]},)")
     coords = Q.T @ v
     if _norm(v - Q @ coords) > thr:
         return None
-    return coords, vals
+    return coords
 
 
 def range_membership(s: SpectralData, v: np.ndarray, cutoff: float, thr: float) -> bool:
     """Is ``v`` in the column space of the matrix that ``s`` decomposes?"""
-    return _project(s, v, cutoff, thr) is not None
+    return _project(_column_space(s, cutoff)[0], v, thr) is not None
 
 
 def pencil_dependence(A: np.ndarray, B: np.ndarray, thr: float) -> tuple[float, float, bool]:
@@ -190,10 +186,10 @@ def apply_pseudoinverse(s: SpectralData, w: np.ndarray, cutoff: float, thr: floa
     the result matches the sign of ``M``.)  A sum that overflows is
     :class:`InvalidInstance`: no margin can be measured against it.
     """
-    parts = _project(s, w, cutoff, thr)
-    if parts is None:
+    Q, vals = _column_space(s, cutoff)
+    coords = _project(Q, w, thr)
+    if coords is None:
         return None
-    coords, vals = parts
     # Kept eigenvalues exceed cutoff, so every term is below ||coords||^2 / cutoff < 2**1000.
     if np.vdot(coords, coords) < float(cutoff) * 2.0**1000:
         return float((coords * coords / vals).sum())
@@ -202,9 +198,3 @@ def apply_pseudoinverse(s: SpectralData, w: np.ndarray, cutoff: float, thr: floa
     if not math.isfinite(quad):
         raise InvalidInstance("pseudoinverse term overflows the float range")
     return quad
-
-
-def _pseudoinverse_solve(s: SpectralData, v: np.ndarray, cutoff: float) -> np.ndarray:
-    """``pinv(M) v`` over the eigenpairs with ``|eig| > cutoff``, for the ``M`` that ``s`` decomposes."""
-    Q, vals = _column_space(s, cutoff)
-    return Q @ ((Q.T @ v) / vals)

@@ -135,6 +135,16 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "separate", "--input", str(path), *levels)
         assert (code, out, err) == (2, "", "invalid input: pseudoinverse term overflows the float range\n")
 
+    def test_rank_tolerance_above_eigenvalue_tolerance_is_decided(self, capsys, tmp_path):
+        # The inertia counts -1e-6 as negative, so the column space and the
+        # restricted form's pseudoinverse keep it too: a verdict, not exit 4.
+        f = make_quadratic(np.diag([-1e-6, 1.0]), [1e-3, 0.5], 0.0)
+        path = tmp_path / "weak.json"
+        save_problem(ProblemInstance(f, make_quadratic(f.A, [1.1e-2, 1.0], 0.0)), str(path))
+        code, out, err = run_cli(capsys, "check", "--input", str(path), "--tol-rank", "1e-2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["verdict"] == "NONCONVEX"
+
     @pytest.mark.parametrize("command", ["check", "fb-check", "witness", "cross-check"])
     def test_underflowing_norms_are_invalid_input(self, capsys, tmp_path, command):
         # Nonzero coefficients whose squared norms underflow: read as zero,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from qrange import (
     verify_certificate,
 )
 from qrange import quadratic, separation, spectral
-from conftest import differential_batch, random_instance, transformed_instance
+from conftest import differential_batch, random_instance, random_symmetric, transformed_instance
 
 
 def saddle_pair() -> ProblemInstance:
@@ -135,9 +136,13 @@ class TestSwapHandling:
         assert np.allclose(wit.gap_point, [cert.f_level, cert.g_level])
 
     def test_swapped_certificate_verifies(self):
+        # After the swap the affine f is the function that must straddle its
+        # level, also when its constant dwarfs its variation.
         p = self.swap_instance()
-        report = verify_certificate(p, check_convexity(p))
-        assert report["valid"]
+        for df in (0.0, 1e17, -1e17, 1e20):
+            shifted = ProblemInstance(p.f.add_constant(df), p.g, p.tolerances)
+            report = verify_certificate(shifted, check_convexity(shifted))
+            assert report["valid"], df
 
     def test_verdict_swap_symmetric(self):
         rng = np.random.default_rng(77)
@@ -263,13 +268,17 @@ class TestInvarianceProperties:
                 assert verify_certificate(shifted, cert)["valid"]
         # saddle_pair_dependent's margin ||A||_2 * (1 + ||x_c||)^2 is 1, below
         # the float spacing of f's values near 1e16; the built margin also
-        # clears the rounding of levels there.
+        # clears the rounding of levels there.  With g shifted instead, the
+        # witness points lie far enough off the hyperplane that g's values
+        # straddle its level beyond their own rounding, also when the two
+        # shifts cancel in the hyperplane's offset (the pencil ratio is 2).
         p = get_case("saddle_pair_dependent").instance
-        for df in (1e16, -1e16, 1e17, -1e17):
-            shifted = ProblemInstance(p.f.add_constant(df), p.g, p.tolerances)
+        for df, dg in ((1e16, 0.0), (-1e16, 0.0), (1e17, 0.0), (-1e17, 0.0), (0.0, 1e17), (0.0, -1e17), (0.0, 1e20),
+                       (1e17, 2e17), (1e20, 2e20)):
+            shifted = ProblemInstance(p.f.add_constant(df), p.g.add_constant(dg), p.tolerances)
             cert = check_convexity(shifted)
             assert cert.verdict == VERDICT_NONCONVEX
-            assert verify_certificate(shifted, cert)["valid"]
+            assert verify_certificate(shifted, cert)["valid"], (df, dg)
 
     def test_far_stationary_point_levels_pass_the_recheck(self):
         # ||x_c|| is about 1e9, so the re-check's threshold, which grows
@@ -348,9 +357,18 @@ class TestInvarianceProperties:
                 weak = check_convexity(q)
                 assert weak.verdict == VERDICT_NONCONVEX, (x, i)
                 assert verify_certificate(q, weak)["valid"], (x, i)
-        # With the rank cutoff above the eigenvalue cutoff, a weak eigenvalue
-        # counts as negative yet lies below the column-space cutoff; the
-        # witness line still starts where f's slope along it is zero.
+        # With tol_rank above tol_eig the column space still keeps every
+        # eigenpair the inertia counts, so the weak eigenvector stays in it:
+        # the unchanged linear terms stay in range, and the witness line
+        # starts where f's slope along it is zero.
+        for i, (p, cert) in enumerate(pairs):
+            weak = self.with_weak_negative_eigenvalue(p, cert, 1e-8)
+            q = ProblemInstance(weak.f, weak.g, ToleranceSet(tol_rank=1e-6))
+            cert = check_convexity(q)
+            assert cert.verdict == VERDICT_NONCONVEX, i
+            assert verify_certificate(q, cert)["valid"], i
+        # Rebuilding both linear terms onto A's column space moves the
+        # combined gradient, so some pairs turn convex; the rest verify.
         tol = ToleranceSet(tol_rank=1e-3)
         decided = 0
         for x in (1e-8, 1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2):
@@ -395,6 +413,146 @@ class TestInvarianceProperties:
         assert verify_certificate(scaled, cert)["valid"]
 
 
+class TestToleranceCutoffs:
+    """Each column space or pseudoinverse keeps every eigenpair its inertia counts as nonzero."""
+
+    @staticmethod
+    def weak_pair(lam, tol_rank):
+        f = make_quadratic(np.diag([-lam, 1.0]), [1e-3, 0.5], 0.0)
+        g = make_quadratic(f.A, [1.1e-2, 1.0], 0.0)
+        return ProblemInstance(f, g, ToleranceSet(tol_rank=tol_rank))
+
+    @pytest.mark.parametrize("tol_rank", [1e-3, 1e-2])
+    @pytest.mark.parametrize("lam", [1e-6, 1e-8])
+    def test_rank_tolerance_above_eigenvalue_tolerance(self, lam, tol_rank):
+        # The inertia counts -lam as negative.  Cut at tol_rank, A's column
+        # space would drop its eigenvector, so c fails membership (CONVEX),
+        # and W's pseudoinverse would drop W's eigenvalue ~4e-4 that its
+        # inertia counts positive, so the re-check fails (InvalidReport).
+        p = self.weak_pair(lam, tol_rank)
+        cert = check_convexity(p)
+        assert cert.verdict == VERDICT_NONCONVEX
+        assert verify_certificate(p, cert)["valid"]
+        assert cross_check(p).agree
+
+    def test_restricted_form_cutoff_keeps_the_rank_tolerance(self):
+        # Draw 366 (n = 6) has a restricted-form eigenvalue of about
+        # -8.9e-5 * ||A||_2.  At tol_psd = 1e-3 its inertia counts it as zero,
+        # but the re-check's pseudoinverse must keep it, or the projected
+        # gradient leaves the column space: the cutoff is min(tol_rank, tol_psd).
+        rng = np.random.default_rng(5)
+        for _ in range(367):
+            p = random_instance(rng)
+        assert p.f.n == 6
+        q = ProblemInstance(p.f, p.g, ToleranceSet(tol_psd=1e-3))
+        result = cross_check(q)
+        assert result.agree and result.certificate.verdict == VERDICT_NONCONVEX
+        assert verify_certificate(q, result.certificate)["valid"]
+
+    def test_both_checkers_read_one_membership_of_the_linear_terms(self):
+        # Draw 3164 (n = 2, A of rank 1) at these tolerances: c passes the
+        # membership test at tol_rank * c_scale while g.a alone would fail it
+        # at tol_rank * m_g.  Given f.a in range, g.a is in range exactly when
+        # c is, so the direction criterion reads the separation path's test.
+        rng = np.random.default_rng(5)
+        for _ in range(3165):
+            p = random_instance(rng)
+        assert p.f.n == 2
+        q = ProblemInstance(p.f, p.g, ToleranceSet(tol_rank=1e-2, tol_psd=1e-3))
+        result = cross_check(q)
+        assert result.agree and result.certificate.verdict == VERDICT_NONCONVEX
+        assert result.fb_report.conditions["linear_terms_in_column_space"] == {"f": True, "g": True}
+        assert verify_certificate(q, result.certificate)["valid"]
+
+
+def _fro(x: np.ndarray) -> float:
+    return float(np.sqrt((x * x).sum()))
+
+
+class TestBoundaryFamilies:
+    """NONCONVEX draws with one tolerance decision moved to ``k`` times its threshold.
+
+    On either side of a threshold nothing raises, every NONCONVEX certificate
+    verifies, both checkers agree, and the verdict is the one that side of
+    the threshold gives.  The same holds, verdicts aside, under raised
+    tolerances.
+    """
+
+    K = [sign * k for k in (0.1, 0.32, 0.56, 1.78, 3.16, 10.0) for sign in (1, -1)]
+    # tol_rank, tol_psd and tol_eig off their defaults, alone and in pairs.
+    RAISED = [("tol_rank", 1e-6), ("tol_rank", 1e-3), ("tol_rank", 1e-2), ("tol_psd", 1e-6), ("tol_psd", 1e-3),
+              ("tol_eig", 1e-6), ("tol_eig", 1e-3)]
+    SETTINGS = [dict([a]) for a in RAISED] + [
+        dict([a, b]) for a, b in itertools.combinations(RAISED, 2) if a[0] != b[0]
+    ]
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(5)
+        pairs = []
+        while len(pairs) < 40:
+            p = random_instance(rng)
+            cert = check_convexity(p)
+            if cert.verdict == VERDICT_NONCONVEX:
+                pairs.append((p, cert))
+        return pairs
+
+    @staticmethod
+    def decided(q: ProblemInstance):
+        result = cross_check(q)
+        assert result.agree
+        if result.certificate.verdict == VERDICT_NONCONVEX:
+            assert verify_certificate(q, result.certificate)["valid"]
+        return result.certificate.verdict
+
+    @staticmethod
+    def rebuilt(p, cert, f, g) -> ProblemInstance:
+        """``p`` with its analysed pair replaced by ``(f, g)``."""
+        return ProblemInstance(*((g, f) if cert.swapped else (f, g)), p.tolerances)
+
+    def test_pencil_residual(self, pairs):
+        # g.A moves off ratio * f.A along a direction orthogonal to f.A.
+        rng = np.random.default_rng(1)
+        for i, (p, cert) in enumerate(pairs):
+            f, g = (p.g, p.f) if cert.swapped else (p.f, p.g)
+            E = random_symmetric(rng, f.n)
+            E = E - ((E * f.A).sum() / (f.A * f.A).sum()) * f.A
+            threshold = p.tolerances.tol_dep * (_fro(g.A) + _fro(g.a))
+            for k in self.K:
+                q = self.rebuilt(p, cert, f, make_quadratic(g.A + (k * threshold / _fro(E)) * E, g.a, g.a0))
+                assert self.decided(q) == (VERDICT_NONCONVEX if abs(k) < 1 else VERDICT_CONVEX), (i, k)
+
+    def test_combined_gradient_norm(self, pairs):
+        # g.a moves to ratio * f.a plus a multiple of the old combined
+        # gradient, so the gradient keeps its direction and only its norm
+        # crosses the zero test.  With ratio 0 that test is relative to the
+        # gradient itself, so no norm crosses it.
+        for i, (p, cert) in enumerate(pairs):
+            f, g = (p.g, p.f) if cert.swapped else (p.f, p.g)
+            ratio = cert.pencil_ratio
+            if ratio == 0.0:
+                continue
+            half = -ratio * f.a + g.a
+            base = ratio * f.a
+            c_scale = 2.0 * (abs(ratio) * (_fro(f.A) + _fro(f.a)) + _fro(g.A) + _fro(base))
+            threshold = p.tolerances.tol_dep * c_scale
+            for k in self.K:
+                ga = base + (k * threshold / (2.0 * _fro(half))) * half
+                q = self.rebuilt(p, cert, f, make_quadratic(g.A, ga, g.a0))
+                assert self.decided(q) == (VERDICT_CONVEX if abs(k) < 1 else VERDICT_NONCONVEX), (i, k)
+
+    def test_tolerance_mix(self, pairs):
+        # Raised rank, semidefiniteness and eigenvalue tolerances, on draws of
+        # every verdict and on pairs with a weak lone negative eigenvalue.
+        rng = np.random.default_rng(5)
+        inputs = [random_instance(rng) for _ in range(20)]
+        inputs += [TestInvarianceProperties.with_weak_negative_eigenvalue(p, cert, 1e-6) for p, cert in pairs[:20]]
+        assert len(self.SETTINGS) == 23
+        for setting in self.SETTINGS:
+            for q in inputs:
+                self.decided(ProblemInstance(q.f, q.g, ToleranceSet(**setting)))
+
+
 class TestVerifyCertificate:
     def test_convex_certificate_vacuously_valid(self):
         f = make_quadratic(np.diag([1.0, 1.0]), np.zeros(2), 0.0)
@@ -419,6 +577,51 @@ class TestVerifyCertificate:
         other = ProblemInstance(p.f.add_constant(5.0), p.g, p.tolerances)
         report = verify_certificate(other, cert)
         assert not report["valid"]
+
+    @staticmethod
+    def with_u_moved_out(p, cert):
+        """``cert`` with ``u`` moved to ``x_c + 1.5*(u - x_c)`` and its range point updated.
+
+        Along the witness line ``s*(f - alpha)`` falls as ``M - |lam|*t**2``,
+        so the moved ``u`` misses the level by ``1.25*M``.
+        """
+        w = cert.witness
+        x_c = (w.u + w.v) / 2.0
+        u = x_c + 1.5 * (w.u - x_c)
+        moved = dataclasses.replace(w, u=u, range_at_u=np.array([evaluate(p.f, u), evaluate(p.g, u)]))
+        return dataclasses.replace(cert, witness=moved)
+
+    def assert_moved_u_rejected(self, p):
+        cert = check_convexity(p)
+        assert verify_certificate(p, cert)["valid"]
+        report = verify_certificate(p, self.with_u_moved_out(p, cert))
+        assert report["points_consistent"]
+        assert report["levels_hit"] is False
+        assert report["valid"] is False
+
+    @pytest.mark.parametrize("k", [0, -100, -505])
+    def test_level_miss_is_measured_against_the_level_at_every_scale(self, k):
+        # A level test with an absolute floor would accept the moved u below
+        # unit size; g still straddles its level, so only that test rejects it.
+        p = get_case("saddle_pair_dependent").instance
+        p = ProblemInstance(p.f.scaled(2.0**k), p.g.scaled(2.0**k), p.tolerances)
+        self.assert_moved_u_rejected(p)
+        assert verify_certificate(p, self.with_u_moved_out(p, check_convexity(p)))["strictly_straddles"]
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-6])
+    def test_level_miss_is_measured_against_the_level_on_weak_eigenvalues(self, x):
+        # With lam = -x*||A||_2 the witness points lie far out, where f's
+        # terms exceed M by about 1/x: a miss sized to tol_residual times
+        # those terms would accept the moved u at x = 1e-8.
+        self.assert_moved_u_rejected(TestToleranceCutoffs.weak_pair(x, ToleranceSet().tol_rank))
+        rng = np.random.default_rng(5)
+        decided = 0
+        while decided < 10:
+            p = random_instance(rng)
+            cert = check_convexity(p)
+            if cert.verdict == VERDICT_NONCONVEX:
+                self.assert_moved_u_rejected(TestInvarianceProperties.with_weak_negative_eigenvalue(p, cert, x))
+                decided += 1
 
     @staticmethod
     def with_stored_side_value(cert, value):
@@ -507,11 +710,11 @@ class TestSharedReduction:
 
     @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
     def test_at_most_two_range_memberships_per_nonconvex_case(self, spectral_calls, case):
-        # a and c in range(A); the projected gradient's membership is read from
-        # the one pseudoinverse projection.
-        calls = spectral_calls("range_membership")
+        # One column-space split of A serves a and c in range(A) and x_c; one
+        # of W serves the projected gradient's membership and pseudoinverse.
+        calls = spectral_calls("_column_space")
         assert check_convexity(case.instance).verdict == VERDICT_NONCONVEX
-        assert len(calls) <= 2, calls
+        assert len(calls) == 2, calls
 
     @pytest.mark.parametrize("checker", [check_convexity, cross_check], ids=lambda fn: fn.__name__)
     def test_independent_pencil_needs_no_eigensolve(self, spectral_calls, checker):
