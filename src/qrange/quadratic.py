@@ -136,10 +136,21 @@ def make_quadratic(M: np.ndarray, a: np.ndarray, a0: float, tol_sym: float = 1e-
 
 
 def evaluate(q: QuadraticFunction, x: np.ndarray) -> float:
-    """Evaluate ``q`` at a single point ``x``."""
+    """Evaluate ``q`` at a single point ``x``.
+
+    The value is bit for bit ``float(x @ A @ x + 2.0 * (a @ x) + a0)``, kept
+    for identical bits, in fewer calls.  For ``x`` at a positive stride ``@``
+    runs BLAS gemv and dot, and ``ndarray.dot`` is those kernels with less
+    wrapping; the tail is summed in Python floats, the same IEEE operations
+    as on NumPy scalars.  Otherwise (a reversed or broadcast ``x``) ``@``
+    loops without BLAS and rounds differently, so it runs itself.  ``A`` and
+    ``a`` are the contiguous copies :func:`make_quadratic` stores.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (q.n,):
         raise DimensionMismatch(f"point has shape {x.shape}, expected ({q.n},)")
+    if x.strides[0] > 0:
+        return float(x.dot(q.A).dot(x)) + 2.0 * float(q.a.dot(x)) + q.a0
     return float(x @ q.A @ x + 2.0 * (q.a @ x) + q.a0)
 
 
@@ -242,10 +253,13 @@ def problem_from_dict(doc: Mapping[str, Any]) -> ProblemInstance:
             f"unsupported linear_convention {convention!r}; "
             "this tool stores half the linear coefficient (f = x'Ax + 2a'x + a0)"
         )
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInstance(f"missing or bad dimension field 'n': {exc}") from exc
+    if "n" not in doc:
+        raise InvalidInstance("missing dimension field 'n'")
+    n = doc["n"]
+    # int() would read 2.5 as 2 and "2" as 2: only an integer is a dimension.
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidInstance(f"dimension field 'n' must be an integer, got {n!r}")
+    n = int(n)
     if n < 1:
         raise InvalidInstance(f"dimension must be positive, got {n}")
     tol_doc = doc.get("tolerances", {})

@@ -37,11 +37,11 @@ from .spectral import (
     _column_space,
     _norm,
     _project,
+    _reflector_basis,
     _wide_norm,
     apply_pseudoinverse,
     eigh,
     inertia,
-    null_space_basis,
     pencil_dependence,
 )
 
@@ -200,14 +200,16 @@ class HyperplaneReduction:
     """The spectral facts of a quadratic ``f`` relative to the hyperplanes ``{c'x + c0 = 0}``.
 
     Holds ``eigh(A)`` and its inertia, the stationary point
-    ``x_c = -pinv(A) a``, ``||c||``, the memberships ``a in range(A)`` and
-    ``c in range(A)``, an orthonormal basis ``V`` of ``{c'x = 0}``, the
-    restricted form ``W = V' A V``, ``eigh(W)`` and its inertia.  Each fact
-    is computed on first use and then shared by every consumer, so a caller
-    that stops early pays only for what it read.  No fact depends on ``f``'s
-    constant or on the offset ``c0``, so one reduction serves every level
-    hyperplane of a direction; callers pass only the offset.
+    ``x_c = -pinv(A) a`` and ``f(x_c)``, ``||c||``, the memberships
+    ``a in range(A)`` and ``c in range(A)``, an orthonormal basis ``V`` of
+    ``{c'x = 0}``, the restricted form ``W = V' A V``, ``eigh(W)`` and its
+    inertia.  Each fact is computed on first use and then shared by every
+    consumer, so a caller that stops early pays only for what it read.  No
+    fact but ``f(x_c)`` depends on ``f``'s constant, and none on the offset
+    ``c0``, so one reduction serves every level hyperplane of a direction;
+    callers pass only the offset.
 
+    ``f_norms`` are ``(||A||_F, ||a||)`` as :func:`_norms` measured them.
     Tolerances are relative: eigenvalues of ``A`` and ``W`` to ``A``'s
     spectral norm, ``f``'s other terms to ``scale = ||A||_F + ||a||`` (the
     constant only shifts the range), and ``c`` to ``c_scale``.  The column
@@ -218,18 +220,24 @@ class HyperplaneReduction:
     """
 
     def __init__(
-        self, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet, scale: float, c_scale: float | None = None
+        self,
+        f: QuadraticFunction,
+        c: np.ndarray,
+        tol: ToleranceSet,
+        f_norms: tuple[float, float],
+        c_scale: float | None = None,
     ) -> None:
         self.f = f
         self.c = np.asarray(c, dtype=float)
         self.tol = tol
-        self.scale = scale
+        self.f_norms = f_norms
+        self.scale = f_norms[0] + f_norms[1]
         self.c_scale = self.norm_c if c_scale is None else c_scale
 
     @classmethod
     def alone(cls, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet) -> "HyperplaneReduction":
         """The reduction of ``f`` along a ``c`` given on its own, so ``c_scale = ||c||``."""
-        return cls(f, c, tol, sum(_norms(f)))
+        return cls(f, c, tol, _norms(f))
 
     @_lazy
     def sd(self) -> SpectralData:
@@ -256,6 +264,11 @@ class HyperplaneReduction:
         # + 0.0 turns a zero coordinate's -0.0 into +0.0, so no witness prints -0.0.
         return -(Q @ ((Q.T @ self.f.a) / vals)) + 0.0
 
+    @_lazy
+    def f_c(self) -> float:
+        """``f(x_c)``."""
+        return evaluate(self.f, self.x_c)
+
     def in_range(self, v: np.ndarray, scale: float) -> bool:
         """Is ``v``, formed from terms of magnitude ``scale``, in the column space of ``A``?"""
         return _project(self.split[0], v, self.tol.tol_rank * scale) is not None
@@ -280,7 +293,8 @@ class HyperplaneReduction:
 
     @_lazy
     def V(self) -> np.ndarray:
-        return null_space_basis(self.c)
+        # Read only once c_zero is false, so norm_c > 0.
+        return _reflector_basis(self.c, self.norm_c)
 
     @_lazy
     def W(self) -> np.ndarray:
@@ -338,6 +352,7 @@ class _PairReduction:
         self.b_zero = gl <= tol.tol_dep * (gm + gl)
         self.swapped = bool(self.fa_zero and not self.ga_zero)
         self.f, self.g = (g, f) if self.swapped else (f, g)
+        self.f_norms = (gm, gl) if self.swapped else (fm, fl)
         self.f_scale, self.g_scale = (gm + gl, fm + fl) if self.swapped else (fm + fl, gm + gl)
 
     @_lazy
@@ -355,7 +370,7 @@ class _PairReduction:
         # combination_affine_form's direction, bounded termwise by twice g - ratio * f.
         c = 2.0 * (-self.ratio * self.f.a + self.g.a)
         c_scale = 2.0 * (abs(self.ratio) * self.f_scale + self.g_scale)
-        return HyperplaneReduction(self.f, c, self.tol, self.f_scale, c_scale)
+        return HyperplaneReduction(self.f, c, self.tol, self.f_norms, c_scale)
 
     def offset(self, alpha: float = 0.0, beta: float = 0.0) -> float:
         """The offset ``c0`` at which ``hyperplane`` is the level form ``-ratio*(f - alpha) + (g - beta)``.
@@ -489,8 +504,7 @@ def exists_separating_affine_levels(
 
 def _separating_levels(red: HyperplaneReduction, c0: float, sign: int) -> tuple[float, float]:
     """Levels with ``{red.c'x + c0 = gamma}`` separating ``{f = alpha}`` for a passing orientation ``sign``."""
-    x_c = red.x_c
-    f_c = evaluate(red.f, x_c)
+    x_c, f_c = red.x_c, red.f_c
     r2 = (1.0 + _norm(x_c)) ** 2
     # The margin is sized like f's terms near x_c, and also clears, twice
     # over, the threshold that _affine_separates re-checks it against: that
@@ -582,7 +596,7 @@ def _separation_witness(red: HyperplaneReduction, c0: float, sign: int, alpha: f
     if lam >= 0.0:
         raise InvalidReport("oriented matrix has no negative-curvature direction")
     x_c = red.x_c
-    height = sign * (evaluate(f, x_c) - alpha)
+    height = sign * (red.f_c - alpha)
     if not height > 0.0:
         raise RootFailure(f"f at the stationary point lies on the wrong side of the level (height={height:.3e})")
     step = math.sqrt(height / -lam) * d
@@ -596,7 +610,8 @@ def _separation_witness(red: HyperplaneReduction, c0: float, sign: int, alpha: f
     # few units of the terms f sums at the farther point, which bound the
     # rounding of x_c, f(x_c) and the step too.
     r = max(_norm(u), _norm(v))
-    allowed = tol.tol_residual * abs(alpha) + _LEVEL_ULPS * (_norm(f.A) * r * r + 2.0 * _norm(f.a) * r + abs(f.a0))
+    norm_A, norm_a = red.f_norms
+    allowed = tol.tol_residual * abs(alpha) + _LEVEL_ULPS * (norm_A * r * r + 2.0 * norm_a * r + abs(f.a0))
     if not (abs(f_u - alpha) <= allowed and abs(f_v - alpha) <= allowed and math.isfinite(allowed)):
         raise RootFailure("witness point misses the target level beyond tolerance")
     return SeparationWitness(u, v, float(alpha), h_u, h_v, f_u, f_v)

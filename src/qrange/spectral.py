@@ -9,6 +9,7 @@ reduction, sized by the scale of the function it tests.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -90,7 +91,13 @@ def _wide_norm(x: np.ndarray) -> float:
 
 
 def eigh(M: np.ndarray) -> SpectralData:
-    """Eigendecomposition of a symmetric matrix (0x0 allowed)."""
+    """Eigendecomposition of a symmetric matrix (0x0 allowed).
+
+    The kernel is ``np.linalg.eigh``, kept for identical bits.  Its
+    spectrum is ascending, so the spectral norm is the larger magnitude of
+    its two ends: ``np.abs(vals).max()`` bit for bit, without a pass over
+    the array.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {M.shape}")
@@ -104,14 +111,20 @@ def eigh(M: np.ndarray) -> SpectralData:
     vecs = np.ascontiguousarray(vecs)
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return SpectralData(vals, vecs, float(np.abs(vals).max()))
+    return SpectralData(vals, vecs, max(abs(vals.item(0)), abs(vals.item(-1))))
 
 
 def inertia(s: SpectralData, thr: float) -> Inertia:
-    """Count eigenvalue signs; ``|eig| <= thr`` counts as zero."""
-    n_neg = np.count_nonzero(s.eigenvalues < -thr)
-    n_pos = np.count_nonzero(s.eigenvalues > thr)
-    return Inertia(n_neg, len(s.eigenvalues) - n_neg - n_pos, n_pos)
+    """Count eigenvalue signs; ``|eig| <= thr`` counts as zero.
+
+    The counts are ``np.count_nonzero(vals < -thr)`` and ``(vals > thr)``,
+    kept for identical counts, taken by bisecting the ascending spectrum as
+    a list of Python floats: the same comparisons, without two array passes.
+    """
+    vals = s.eigenvalues.tolist()
+    n_neg = bisect.bisect_left(vals, -thr)
+    n_pos = len(vals) - bisect.bisect_right(vals, thr)
+    return Inertia(n_neg, len(vals) - n_neg - n_pos, n_pos)
 
 
 def null_space_basis(c: np.ndarray) -> np.ndarray:
@@ -127,6 +140,11 @@ def null_space_basis(c: np.ndarray) -> np.ndarray:
     norm_c = _wide_norm(c)
     if norm_c == 0.0:
         raise ZeroVector("cannot build a hyperplane basis for the zero direction")
+    return _reflector_basis(c, norm_c)
+
+
+def _reflector_basis(c: np.ndarray, norm_c: float) -> np.ndarray:
+    """:func:`null_space_basis` of a nonzero ``c`` whose norm ``norm_c = _wide_norm(c)`` is in hand."""
     v = c / norm_c
     v[0] += 1.0 if v[0] >= 0.0 else -1.0
     H = np.eye(len(c)) - (2.0 / (v @ v)) * (v[:, None] * v)
@@ -135,6 +153,8 @@ def null_space_basis(c: np.ndarray) -> np.ndarray:
 
 def _column_space(s: SpectralData, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvectors with ``|eig| > cutoff``, as columns, and their eigenvalues."""
+    # Return the indexed copy even when every column is kept: BLAS may take
+    # another path on the eigenvector buffer itself and round differently.
     keep = np.abs(s.eigenvalues) > cutoff
     return s.eigenvectors[:, keep], s.eigenvalues[keep]
 

@@ -81,6 +81,20 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "check", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("n", [2.5, "2", True], ids=["float", "string", "bool"])
+    def test_invalid_input_non_integer_dimension(self, capsys, tmp_path, n):
+        # int() would read each of these as a dimension; only an integer is one.
+        doc = {
+            "n": n,
+            "f": {"A": [[1.0, 0.0], [0.0, -1.0]], "a": [0.0, 0.0], "a0": 0.0},
+            "g": {"A": [[1.0, 0.0], [0.0, 1.0]], "a": [1.0, 0.0], "a0": 0.0},
+        }
+        path = tmp_path / "dimension.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input: dimension field 'n' must be an integer")
+
     @pytest.mark.parametrize("command", ["check", "fb-check", "witness", "cross-check"])
     def test_overflowing_norms_are_invalid_input(self, capsys, tmp_path, command):
         # Finite coefficients whose norms overflow, so no threshold can be sized.

@@ -725,12 +725,12 @@ class TestSharedReduction:
         assert eigh_calls == []
 
     @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
-    def test_two_direction_norms_per_nonconvex_case(self, spectral_calls, case):
-        # The reduction's lazy norm_c serves the zero test and every foot
-        # point; null_space_basis measures its input itself.
+    def test_one_direction_norm_per_nonconvex_case(self, spectral_calls, case):
+        # The reduction's lazy norm_c serves the zero test, every foot point
+        # and the hyperplane basis V.
         calls = spectral_calls("_wide_norm")
         assert check_convexity(case.instance).verdict == VERDICT_NONCONVEX
-        assert len(calls) == 2, calls
+        assert len(calls) == 1, calls
 
     @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
     def test_certify_builds_no_affine_form(self, monkeypatch, case):
@@ -775,7 +775,8 @@ class TestSharedReduction:
 
     @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
     def test_certify_reads_the_witness_values_of_f(self, monkeypatch, case):
-        # The witness keeps f at its two points from its level check, so the
+        # The reduction keeps f(x_c) for the levels and the witness, and the
+        # witness keeps f at its two points from its level check, so the
         # checker evaluates only g there; the verifier still evaluates afresh.
         calls = []
         original = quadratic.evaluate
@@ -788,7 +789,7 @@ class TestSharedReduction:
             if module_name.split(".")[0] == "qrange" and vars(module).get("evaluate") is original:
                 monkeypatch.setattr(module, "evaluate", counting)
         cert = check_convexity(case.instance)
-        assert len(calls) == 7
+        assert len(calls) == 6
         calls.clear()
         assert verify_certificate(case.instance, cert)["valid"]
         assert len(calls) == 4

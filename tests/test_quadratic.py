@@ -127,6 +127,27 @@ class TestEvaluation:
             expected = np.einsum("ij,jk,ik->i", X, f.A, X) + 2.0 * (X @ f.a) + f.a0
             assert np.array_equal(evaluate_many(f, X).view(np.int64), expected.view(np.int64)), draw
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_evaluate_is_the_matmul_expression_bit_for_bit(self, n):
+        # evaluate calls the kernels of x @ A @ x + 2 (a @ x) + a0 with less
+        # wrapping; its value must keep every bit, on every layout of x and
+        # at every common scale of the coefficients.
+        rng = np.random.default_rng(40 + n)
+        for exponent in range(-500, 501, 50):
+            s = 2.0**exponent
+            for _ in range(25):
+                f = make_quadratic(s * _rand_sym(rng, n), s * rng.uniform(-1, 1, n), s * rng.uniform(-1, 1))
+                base = rng.standard_normal(3 * n) * 10.0 ** rng.uniform(-3, 3)
+                layouts = (
+                    base[:n].copy(),
+                    base[::3],  # strided
+                    base[n - 1 :: -1],  # reversed
+                    np.broadcast_to(base[0], (n,)),  # stride 0
+                )
+                for x in layouts:
+                    expected = float(x @ f.A @ x + 2.0 * (f.a @ x) + f.a0)
+                    assert evaluate(f, x).hex() == expected.hex(), (exponent, x)
+
     def test_callable_protocol(self):
         f = saddle()
         assert f(np.array([2.0, 0.0])) == pytest.approx(-4.0)
@@ -227,6 +248,18 @@ class TestJsonRoundTrip:
         doc["tolerances"] = {"tol_bogus": 1e-9}
         with pytest.raises(InvalidInstance):
             problem_from_dict(doc)
+
+    @pytest.mark.parametrize("n", [2.5, "2", True, None, [2]])
+    def test_non_integer_dimension_rejected(self, n):
+        doc = problem_to_dict(ProblemInstance(saddle(), saddle()))
+        doc["n"] = n
+        with pytest.raises(InvalidInstance, match="must be an integer"):
+            problem_from_dict(doc)
+
+    def test_numpy_integer_dimension_accepted(self):
+        doc = problem_to_dict(ProblemInstance(saddle(), saddle()))
+        doc["n"] = np.int64(2)
+        assert problem_from_dict(doc).n == 2
 
     def test_missing_field_rejected(self):
         with pytest.raises(InvalidInstance):

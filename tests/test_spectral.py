@@ -63,6 +63,18 @@ class TestEigh:
         assert sd.eigenvalues.shape == (0,)
         assert sd.spectral_norm == 0.0
 
+    @pytest.mark.parametrize("signs", [(-1.0,), (0.0,), (-1.0, 1.0), (1.0,)], ids=["negative", "zero", "mixed", "positive"])
+    def test_spectral_norm_is_the_largest_magnitude_bit_for_bit(self, signs):
+        # eigh reads the norm off the ends of the ascending spectrum; it must
+        # be np.abs(vals).max() to the bit, sign of zero included.
+        rng = np.random.default_rng(3)
+        for n in range(1, 9):
+            for _ in range(50):
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                spectrum = rng.choice(signs, n) * rng.uniform(0.0, 2.0, n) * 10.0 ** rng.uniform(-200, 200)
+                sd = eigh((q * spectrum) @ q.T)
+                assert sd.spectral_norm.hex() == float(np.abs(sd.eigenvalues).max()).hex()
+
 
 class TestInertia:
     def test_plain_counts(self):
@@ -82,6 +94,23 @@ class TestInertia:
 
     def test_empty(self):
         assert inertia(eigh(np.zeros((0, 0))), 0.0) == Inertia(0, 0, 0)
+
+    def test_counts_are_count_nonzero_at_every_threshold(self):
+        # inertia bisects the ascending spectrum; its counts must be the
+        # count_nonzero counts, also at a threshold equal to an eigenvalue's
+        # magnitude and one unit either side of it.
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            for _ in range(60):
+                spectrum = rng.choice([-2.0, -1.0, -1e-12, 0.0, 1e-12, 1.0, 2.0], n) * rng.uniform(0.5, 1.5, n)
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                sd = eigh((q * spectrum) @ q.T)
+                vals = sd.eigenvalues
+                magnitudes = np.abs(vals)
+                thresholds = [0.0, *magnitudes, *np.nextafter(magnitudes, np.inf), *np.nextafter(magnitudes, 0.0)]
+                for thr in thresholds:
+                    n_neg, n_pos = int(np.count_nonzero(vals < -thr)), int(np.count_nonzero(vals > thr))
+                    assert inertia(sd, thr) == Inertia(n_neg, n - n_neg - n_pos, n_pos), (vals, thr)
 
 
 class TestNullSpaceBasis:
