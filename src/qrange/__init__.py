@@ -68,7 +68,9 @@ _EXPORTS = {
         "level_pair_separation",
     ),
     # spectral helpers: eigh decomposes a matrix once, and inertia,
-    # range_membership and apply_pseudoinverse take its SpectralData
+    # range_membership and apply_pseudoinverse take its SpectralData (the
+    # decision path splits each column space once instead of calling
+    # range_membership per question)
     "spectral": (
         "Inertia",
         "SpectralData",

@@ -210,8 +210,7 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
     if not passes2:
         return _convex(path, swapped)
 
-    pos_ok = not hp.failed_conditions(+1)
-    neg_ok = not hp.failed_conditions(-1)
+    pos_ok, neg_ok = +1 in hp.orientations, -1 in hp.orientations
     record3 = {
         "step": 3,
         "check": "orientation_conditions",
@@ -225,7 +224,7 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
     path.append(record3)
     if not (pos_ok or neg_ok):
         return _convex(path, swapped)
-    orientation = +1 if pos_ok else -1
+    orientation = hp.orientations[0]
 
     # Construct the certificate at f's stationary point: levels, this
     # checker's own re-check of them, then witness points.  Every level form

@@ -138,20 +138,18 @@ def make_quadratic(M: np.ndarray, a: np.ndarray, a0: float, tol_sym: float = 1e-
 def evaluate(q: QuadraticFunction, x: np.ndarray) -> float:
     """Evaluate ``q`` at a single point ``x``.
 
-    The value is bit for bit ``float(x @ A @ x + 2.0 * (a @ x) + a0)``, kept
-    for identical bits, in fewer calls.  For ``x`` at a positive stride ``@``
-    runs BLAS gemv and dot, and ``ndarray.dot`` is those kernels with less
-    wrapping; the tail is summed in Python floats, the same IEEE operations
-    as on NumPy scalars.  Otherwise (a reversed or broadcast ``x``) ``@``
-    loops without BLAS and rounds differently, so it runs itself.  ``A`` and
-    ``a`` are the contiguous copies :func:`make_quadratic` stores.
+    The value is bit for bit ``float(x @ A @ x + 2.0 * (a @ x) + a0)`` for
+    ``x`` at a positive stride, in fewer calls: ``ndarray.dot`` runs the
+    BLAS gemv and dot kernels of ``@`` with less wrapping, and the tail is
+    summed in Python floats, the same IEEE operations as on NumPy scalars.
+    On a reversed or broadcast ``x``, where ``@`` loops without BLAS, it is
+    that expression on the contiguous copy.  ``A`` and ``a`` are the
+    contiguous copies :func:`make_quadratic` stores.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (q.n,):
         raise DimensionMismatch(f"point has shape {x.shape}, expected ({q.n},)")
-    if x.strides[0] > 0:
-        return float(x.dot(q.A).dot(x)) + 2.0 * float(q.a.dot(x)) + q.a0
-    return float(x @ q.A @ x + 2.0 * (q.a @ x) + q.a0)
+    return float(x.dot(q.A).dot(x)) + 2.0 * float(q.a.dot(x)) + q.a0
 
 
 def evaluate_many(q: QuadraticFunction, X: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ and contains points with both signs of ``h``.
 
 The decision procedure works on one of the two orientations ``s in {+1, -1}``
 of ``f`` (write ``F = s*f``, ``Abar = s*A``, ``abar = s*a``) and checks, for a
-hyperplane with unit-scaled direction ``c`` and offset point
-``x0 = -(c0/c'c) c``:
+hyperplane ``{c'x + c0 = 0}`` and its foot point ``x0``, the point of the
+hyperplane nearest ``f``'s stationary point ``x_c = -pinv(A) a``:
 
   (i)   ``Abar`` has exactly one negative eigenvalue and ``a`` lies in the
         column space of ``A``;
@@ -15,11 +15,16 @@ hyperplane with unit-scaled direction ``c`` and offset point
   (iii) with ``V`` an orthonormal basis of ``{c'x = 0}`` and
         ``W = V' Abar V``: ``W`` is positive semidefinite,
         ``w = V'(Abar x0 + abar)`` lies in the column space of ``W``, and the
-        strictness margin ``F(x0) - w' pinv(W) w`` is positive.
+        strictness margin ``F(x0) - w' pinv(W) w`` is positive.  It is the
+        minimum of ``F`` over the hyperplane, so it does not depend on the
+        point it is measured from; at ``x0`` a hyperplane through ``x_c``
+        has ``w`` and the pseudoinverse term at rounding level.
 
 Separation holds iff some orientation passes all three.  The margin test uses
 a relative threshold, so boundary cases (margin within tolerance of zero) are
-reported as non-separating with ``near_degenerate=True``.
+reported as non-separating with ``near_degenerate=True``.  The threshold is
+sized by the terms ``f`` sums at ``x0``; where they or ``x_c`` overflow, the
+query is :class:`InvalidInstance`.
 """
 
 from __future__ import annotations
@@ -103,7 +108,9 @@ class SeparationReport:
 
     ``failed_conditions`` maps each orientation (+1 / -1) to the labels of the
     conditions that orientation failed (empty tuple = orientation passed).
-    The geometric fields are populated for the successful orientation only.
+    The geometric fields are populated for the successful orientation only;
+    ``foot_point`` is the point of the hyperplane nearest ``f``'s stationary
+    point ``x_c``, where ``margin`` was measured.
     """
 
     separates: bool
@@ -156,6 +163,8 @@ class LevelPairReport:
 _STRADDLE_ULPS = 16.0 * 2.0**-52
 # The rounding a witness value may carry, in units of the terms f sums there.
 _LEVEL_ULPS = 64.0 * 2.0**-52
+
+_FAR_FOOT = "terms at the foot point overflow the float range"
 
 # The square root of the smallest normal float: a norm below it has a
 # subnormal square, which has lost precision or flushed to zero.
@@ -259,10 +268,23 @@ class HyperplaneReduction:
 
     @_lazy
     def x_c(self) -> np.ndarray:
-        """The stationary point ``-pinv(A) a``."""
+        """The stationary point ``-pinv(A) a``; :class:`InvalidInstance` when it overflows.
+
+        When ``a`` lies outside the column space of ``A`` it is no stationary
+        point, but still the point every foot point is measured from.
+        """
         Q, vals = self.split
+        # No coordinate overflows while ||a|| stays below 2**1000 times the
+        # least kept eigenvalue.
+        if vals.size and not self.f_norms[1] < min(map(abs, vals.tolist())) * 2.0**1000:
+            raise InvalidInstance("pinv(A) a overflows the float range")
         # + 0.0 turns a zero coordinate's -0.0 into +0.0, so no witness prints -0.0.
         return -(Q @ ((Q.T @ self.f.a) / vals)) + 0.0
+
+    def terms(self, r: float) -> float:
+        """``||A||_F r**2 + 2 ||a|| r``: the size of ``f``'s terms at a point of norm ``r``, its constant aside."""
+        norm_A, norm_a = self.f_norms
+        return norm_A * r * r + 2.0 * norm_a * r
 
     @_lazy
     def f_c(self) -> float:
@@ -329,6 +351,21 @@ class HyperplaneReduction:
         if self.ine_w.negatives(sign) != 0:
             labels.append(COND_RESTRICTED_SEMIDEFINITE)
         return tuple(labels)
+
+    @_lazy
+    def orientations(self) -> tuple[int, ...]:
+        """The orientations whose conditions all hold, the one to build a certificate on first.
+
+        Both hold only when all of ``W`` lies in the zero band.  Then the
+        eigenvector of the negative eigenvalue with ``|lam| = ||A||_2`` cannot
+        lie in ``{c'x = 0}``, so its witness line crosses every level
+        hyperplane: the orientation whose negative eigenvalue is larger in
+        magnitude comes first, ``+1`` on a tie.
+        """
+        passing = tuple(sign for sign in (+1, -1) if not self.failed_conditions(sign))
+        if len(passing) == 2 and self.negative_pair(-1)[0] < self.negative_pair(+1)[0]:
+            return (-1, +1)
+        return passing
 
 
 class _PairReduction:
@@ -418,21 +455,28 @@ def _affine_separates(f: QuadraticFunction, c0: float, red: HyperplaneReduction)
         failed = {sign: red.failed_conditions(sign) for sign in (+1, -1)}
         return SeparationReport(False, None, None, None, failed, False)
 
-    norm_c = red.norm_c
-    x0 = -(c0 / norm_c) * (red.c / norm_c)
-    f_x0 = evaluate(f, x0)
-    # The two orientations share all spectral work: negating f negates the
-    # restricted form and its pseudoinverse term, so the margins are exact
-    # negatives of one another (hence at most one orientation can pass).
+    # The foot point x0 is the point of the hyperplane nearest x_c, dist
+    # away.  The two orientations share all spectral work: negating f
+    # negates the restricted form and its pseudoinverse term, so the margins
+    # are exact negatives of one another (at most one orientation can pass).
     # Each test is a tolerance times the size of what it compares: with
     # r = 1 + ||x0||, scale * r bounds the projected gradient ||A x0 + a||,
-    # and |f(x0)|, the term and scale * r**2 bound the margin f(x0) - term.
+    # and |f(x0)|, the term and the terms f sums at x0 bound the margin
+    # f(x0) - term.  Where those terms overflow, f(x0) cannot be evaluated.
+    dist = (float(np.vdot(red.c, red.x_c)) + c0) / red.norm_c
+    if not math.isfinite(dist):
+        raise InvalidInstance(_FAR_FOOT)
+    x0 = red.x_c - dist * (red.c / red.norm_c)
     r = 1.0 + _norm(x0)
+    terms = red.terms(r)
+    if not math.isfinite(terms):
+        raise InvalidInstance(_FAR_FOOT)
+    f_x0 = evaluate(f, x0)
     tol = red.tol
     w = red.V.T @ (f.A @ x0 + f.a)
     cutoff = min(tol.tol_rank, tol.tol_psd) * red.sd.spectral_norm
     quad_term = apply_pseudoinverse(red.sd_w, w, cutoff, tol.tol_rank * red.scale * r)
-    threshold = tol.tol_psd * (abs(f_x0) + abs(quad_term or 0.0) + red.scale * r * r)
+    threshold = tol.tol_psd * (abs(f_x0) + abs(quad_term or 0.0) + terms)
 
     failed: dict[int, tuple[str, ...]] = {}
     near_degenerate = False
@@ -496,23 +540,22 @@ def exists_separating_affine_levels(
     if _norm(c) == 0.0:
         raise ZeroVector("level search requires a nonzero direction")
     red = HyperplaneReduction.alone(f, c, tol)
-    for sign in (+1, -1):
-        if not red.failed_conditions(sign):
-            return LevelSearchResult(True, sign, *_separating_levels(red, c0, sign))
-    return LevelSearchResult(False, None, None, None)
+    if not red.orientations:
+        return LevelSearchResult(False, None, None, None)
+    sign = red.orientations[0]
+    return LevelSearchResult(True, sign, *_separating_levels(red, c0, sign))
 
 
 def _separating_levels(red: HyperplaneReduction, c0: float, sign: int) -> tuple[float, float]:
     """Levels with ``{red.c'x + c0 = gamma}`` separating ``{f = alpha}`` for a passing orientation ``sign``."""
     x_c, f_c = red.x_c, red.f_c
-    r2 = (1.0 + _norm(x_c)) ** 2
+    r = 1.0 + _norm(x_c)
+    r2 = r**2
     # The margin is sized like f's terms near x_c, and also clears, twice
-    # over, the threshold that _affine_separates re-checks it against: that
-    # foot point lies no farther out than x_c, its pseudoinverse term is at
-    # most ||A||_2 * ||x_c||**2 <= scale * r2, and alpha rounds by a unit
-    # of |f(x_c)|.
+    # over, the threshold that _affine_separates re-checks it against at
+    # x_c, and the rounding of alpha, a unit of |f(x_c)|.
     tol_psd = red.tol.tol_psd
-    margin = max(red.sd.spectral_norm * r2, 2.0 * tol_psd * (abs(f_c) + 3.0 * red.scale * r2) / (1.0 - tol_psd))
+    margin = max(red.sd.spectral_norm * r2, 2.0 * tol_psd * (abs(f_c) + red.terms(r)) / (1.0 - tol_psd))
     # The witness points x_c -/+ tau*d, tau = sqrt(margin / |lam|), lie
     # tau * |c'd| off the hyperplane, and the other function's values there
     # lie about that far from its level.  That must clear the rounding of
@@ -609,9 +652,7 @@ def _separation_witness(red: HyperplaneReduction, c0: float, sign: int, alpha: f
     # Each value may miss alpha by tol_residual * |alpha|, plus rounding: a
     # few units of the terms f sums at the farther point, which bound the
     # rounding of x_c, f(x_c) and the step too.
-    r = max(_norm(u), _norm(v))
-    norm_A, norm_a = red.f_norms
-    allowed = tol.tol_residual * abs(alpha) + _LEVEL_ULPS * (norm_A * r * r + 2.0 * norm_a * r + abs(f.a0))
+    allowed = tol.tol_residual * abs(alpha) + _LEVEL_ULPS * (red.terms(max(_norm(u), _norm(v))) + abs(f.a0))
     if not (abs(f_u - alpha) <= allowed and abs(f_v - alpha) <= allowed and math.isfinite(allowed)):
         raise RootFailure("witness point misses the target level beyond tolerance")
     return SeparationWitness(u, v, float(alpha), h_u, h_v, f_u, f_v)

@@ -1,10 +1,13 @@
 """Symmetric-matrix machinery: eigendecompositions, inertia, ranges, pencils.
 
-A matrix is decomposed once by :func:`eigh`; :func:`inertia`,
-:func:`range_membership` and :func:`apply_pseudoinverse` take the resulting
-:class:`SpectralData`, so each column-space question is one projection onto
-an eigenbasis already in hand.  Every threshold comes from the caller's
-reduction, sized by the scale of the function it tests.
+A matrix is decomposed once by :func:`eigh`, and every later question takes
+the resulting :class:`SpectralData`.  The decision path splits off a
+column space once with ``_column_space`` and answers each membership as one
+projection onto it (``_project``); :func:`apply_pseudoinverse` does the same
+for the restricted form's pseudoinverse term.  :func:`range_membership` is
+that split and projection in one call, for a single question.  Every
+threshold comes from the caller's reduction, sized by the scale of the
+function it tests.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def apply_pseudoinverse(s: SpectralData, w: np.ndarray, cutoff: float, thr: floa
     """The quadratic form ``w' pinv(M) w`` for the symmetric ``M`` that ``s`` decomposes.
 
     Computed spectrally as ``sum (q_i'w)^2 / eig_i`` over the column-space
-    eigenpairs of :func:`range_membership`; ``None`` when ``w`` lies outside
+    eigenpairs that ``_column_space`` keeps; ``None`` when ``w`` lies outside
     that column space.  (Intended for semidefinite ``M``, where the sign of
     the result matches the sign of ``M``.)  A sum that overflows is
     :class:`InvalidInstance`: no margin can be measured against it.
@@ -213,8 +216,9 @@ def apply_pseudoinverse(s: SpectralData, w: np.ndarray, cutoff: float, thr: floa
     # Kept eigenvalues exceed cutoff, so every term is below ||coords||^2 / cutoff < 2**1000.
     if np.vdot(coords, coords) < float(cutoff) * 2.0**1000:
         return float((coords * coords / vals).sum())
+    # Past that bound, divide first: a square can overflow while its term fits.
     with np.errstate(over="ignore", invalid="ignore"):
-        quad = float((coords * coords / vals).sum())
+        quad = float((coords / vals * coords).sum())
     if not math.isfinite(quad):
         raise InvalidInstance("pseudoinverse term overflows the float range")
     return quad

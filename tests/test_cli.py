@@ -134,10 +134,11 @@ class TestExitCodes:
         assert result["verdict"] == "NONCONVEX" and result["verification"]["valid"]
         assert runs[511] == (2, "", "invalid input: coefficient norms overflow the float range\n")
 
-    def test_overflowing_pseudoinverse_term_is_invalid_input(self, capsys, tmp_path):
+    def test_pinned_levels_at_two_to_the_509_are_decided(self, capsys, tmp_path):
         # Draw 3556 of the audit mix at 2^509 with pinned levels (not its
-        # certificate's, at which the term fits): the separation margin's
-        # pseudoinverse term overflows.
+        # certificate's): measured from f's stationary point, the separation
+        # margin's pseudoinverse term fits, so both directions are answered
+        # as at unit scale.
         rng = np.random.default_rng(5)
         for _ in range(3557):
             p = random_instance(rng)
@@ -147,7 +148,34 @@ class TestExitCodes:
         save_problem(ProblemInstance(p.f.scaled(s), p.g.scaled(s)), str(path))
         levels = f"--alpha={s * alpha!r}", f"--beta={s * beta!r}"
         code, out, err = run_cli(capsys, "separate", "--input", str(path), *levels)
-        assert (code, out, err) == (2, "", "invalid input: pseudoinverse term overflows the float range\n")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["g_separates_f"], result["f_separates_g"]) == (True, True)
+
+    def test_levels_whose_foot_point_terms_overflow_are_invalid_input(self, capsys):
+        # At beta = 1e160 f's terms at the hyperplane's foot point overflow:
+        # exit 2 with the one invalid-input line, and no NumPy warning.
+        code, out, err = run_cli(capsys, "separate", "--input", SPLIT, "--alpha=0", "--beta=1e160")
+        assert (code, out, err) == (2, "", "invalid input: terms at the foot point overflow the float range\n")
+        code, out, err = run_cli(capsys, "separate", "--input", SPLIT, "--alpha=0", "--beta=1e150")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["g_separates_f"], result["f_separates_g"]) == (False, False)
+
+    def test_both_orientations_passing_is_decided(self, capsys, tmp_path):
+        # At tol_psd = 1e-3 both orientations pass, and +1's witness line
+        # lies inside {c'x = 0}: the certificate is built on -1, whose
+        # negative eigenvalue is the larger, not an internal error (exit 4).
+        f = make_quadratic(np.diag([-1e-6, 1.0]), [0.0, 0.3], 0.0)
+        path = tmp_path / "both.json"
+        save_problem(ProblemInstance(f, make_quadratic(f.A, [0.0, 1.0], 0.0)), str(path))
+        results = {}
+        for command in ("check", "witness"):
+            code, out, err = run_cli(capsys, command, "--input", str(path), "--tol-psd", "1e-3")
+            assert (code, err) == (0, ""), command
+            results[command] = json.loads(out)["result"]
+        assert (results["check"]["verdict"], results["check"]["orientation"]) == ("NONCONVEX", -1)
+        assert results["witness"]["verification"]["valid"]
 
     def test_rank_tolerance_above_eigenvalue_tolerance_is_decided(self, capsys, tmp_path):
         # The inertia counts -1e-6 as negative, so the column space and the

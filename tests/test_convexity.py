@@ -97,6 +97,20 @@ class TestCheckConvexityVerdicts:
         assert cert.verdict == VERDICT_CONVEX
         assert cert.path[-1]["step"] == 2
 
+    def test_both_orientations_passing_builds_on_the_larger_negative_eigenvalue(self):
+        # At tol_psd = 1e-3 W = (-1e-6) lies in the zero band, so both
+        # orientations pass.  +1's eigenvector (1, 0) lies in {c'x = 0}, so
+        # its witness line never crosses the hyperplane; -1's eigenvalue has
+        # |lam| = ||A||_2, so its eigenvector cannot.
+        f = make_quadratic(np.diag([-1e-6, 1.0]), [0.0, 0.3], 0.0)
+        g = make_quadratic(f.A, [0.0, 1.0], 0.0)
+        p = ProblemInstance(f, g, ToleranceSet(tol_psd=1e-3))
+        cert = check_convexity(p)
+        assert (cert.verdict, cert.orientation) == (VERDICT_NONCONVEX, -1)
+        assert cert.path[3]["orientation_pos"] and cert.path[3]["orientation_neg"]
+        assert verify_certificate(p, cert)["valid"]
+        assert cross_check(p).agree
+
     def test_orientation_negative_branch(self):
         # flipped saddle wants the negated matrix: exactly one positive eigenvalue
         f = make_quadratic([[-1.0, 0.0], [0.0, 4.0]], [0.0, 0.0], -1.0)
@@ -381,11 +395,12 @@ class TestInvarianceProperties:
         assert decided >= 50
 
     def test_overflow_near_the_top_of_the_range_is_invalid_input(self):
-        # At 2^510 both norms can fit while the re-check's pseudoinverse
-        # term overflows.  That is invalid input, not a RootFailure.  The
-        # combined gradient's squared norm can overflow too; its norm is then
-        # taken on the gradient brought to unit size, so those draws are
-        # decided, with the unscaled verdict and a certificate that verifies.
+        # At 2^510 only overflowing coefficient norms are invalid input.
+        # The re-check measures its margin at the stationary point, so its
+        # pseudoinverse term is rounding there.  The combined gradient's
+        # squared norm can overflow; its norm is then taken on the gradient
+        # brought to unit size.  Every other draw is decided, with the
+        # unscaled verdict and a certificate that verifies.
         rejected = set()
         for p in differential_batch(5, 250):
             base = check_convexity(p).verdict
@@ -398,10 +413,7 @@ class TestInvarianceProperties:
             assert cert.verdict == base
             if cert.verdict == VERDICT_NONCONVEX:
                 assert verify_certificate(scaled, cert)["valid"]
-        assert rejected == {
-            "coefficient norms overflow the float range",
-            "pseudoinverse term overflows the float range",
-        }
+        assert rejected == {"coefficient norms overflow the float range"}
 
     def test_large_scale_certificate_verifies(self):
         # At 1e10 the pseudoinverse term is large enough that a fixed margin
@@ -540,6 +552,32 @@ class TestBoundaryFamilies:
                 ga = base + (k * threshold / (2.0 * _fro(half))) * half
                 q = self.rebuilt(p, cert, f, make_quadratic(g.A, ga, g.a0))
                 assert self.decided(q) == (VERDICT_CONVEX if abs(k) < 1 else VERDICT_NONCONVEX), (i, k)
+
+    def test_restricted_least_eigenvalue(self, pairs):
+        # s*A moves along y = V q, q the least eigenvector of s*W, so that
+        # s*W's least eigenvalue is k * tol_psd * ||A||_2.  x_c and c are
+        # kept: f.a = -A x_c and g.a = c/2 + ratio * f.a.  Past the threshold
+        # only n = 2 pairs stay NONCONVEX, in the other orientation.
+        for i, (p, cert) in enumerate(pairs):
+            f, g = (p.g, p.f) if cert.swapped else (p.f, p.g)
+            s, ratio = cert.orientation, cert.pencil_ratio
+            half = -ratio * f.a + g.a
+            x_c = -np.linalg.pinv(f.A) @ f.a
+            V = spectral.null_space_basis(half)
+            w_vals, w_vecs = np.linalg.eigh(V.T @ (s * f.A) @ V)
+            y = V @ w_vecs[:, 0]
+            base = s * f.A - w_vals[0] * np.outer(y, y)
+            for k in self.K:
+                a_mat = s * (base + (k * p.tolerances.tol_psd * np.linalg.norm(base, 2)) * np.outer(y, y))
+                a_mat = (a_mat + a_mat.T) / 2.0
+                fa = -a_mat @ x_c
+                q = self.rebuilt(p, cert, make_quadratic(a_mat, fa, f.a0),
+                                 make_quadratic(ratio * a_mat, half + ratio * fa, g.a0))
+                verdict = self.decided(q)
+                if k > -1:
+                    assert verdict == VERDICT_NONCONVEX, (i, k)
+                elif verdict == VERDICT_NONCONVEX:
+                    assert (f.n, check_convexity(q).orientation) == (2, -s), (i, k)
 
     def test_tolerance_mix(self, pairs):
         # Raised rank, semidefiniteness and eigenvalue tolerances, on draws of

@@ -110,6 +110,45 @@ class TestAffineSeparatesQuadratic:
         assert not report.separates
         assert "gradient_in_range" in report.failed_conditions[+1]
 
+    @pytest.mark.parametrize(
+        ("a_mat", "a", "c", "c0", "message"),
+        [
+            # ||a|| over A's kept eigenvalue 1e-158 overflows.
+            ([-1e-150, 1e-158], [0.0, 1e152], [0.0, 1.0], 0.0, r"pinv\(A\) a overflows"),
+            # The stationary point's distance from the hyperplane overflows.
+            ([-1.0, 1.0], [0.0, 0.0], [1e-150, 0.0], 1e200, "terms at the foot point overflow"),
+            # The foot point x_c = (0, -1e154) fits, but 2 a'x0 = -2e308 does not.
+            ([-1.0, 1.0], [0.0, 1e154], [1.0, 0.0], 0.0, "terms at the foot point overflow"),
+        ],
+        ids=["far_stationary_point", "far_hyperplane", "far_foot_point_terms"],
+    )
+    def test_far_stationary_point_or_hyperplane_is_invalid_input(self, a_mat, a, c, c0, message):
+        # The margin is measured from the stationary point; where it or the
+        # terms f sums at the hyperplane's foot point lie beyond the float
+        # range, the query is invalid input, and nothing warns.
+        f = make_quadratic(np.diag(a_mat), a, 0.0)
+        with pytest.raises(InvalidInstance, match=message):
+            affine_separates_quadratic(f, AffineForm(np.array(c), c0))
+
+    @pytest.mark.parametrize(
+        ("a", "a0", "answer"),
+        [
+            # The minimum over {x1 = 0} is 1000 at x_c = (0, 1e5), where f
+            # sums terms of about 1e10: the threshold is sized by those terms,
+            # about 3e1, not by ||a|| * ||x_c||**2, about 1e15.
+            ([0.0, -1e5], 1e10 + 1000.0, (True, 1000.0)),
+            # x_c = (0, -1e153) on {x1 = 0}: its terms fit, so the pair is
+            # decided, with minimum -1e306.
+            ([0.0, 1e153], 0.0, (False, None)),
+        ],
+        ids=["small_margin", "far_stationary_point"],
+    )
+    def test_far_stationary_point_on_the_hyperplane_is_decided(self, a, a0, answer):
+        f = make_quadratic(np.diag([-1.0, 1.0]), a, a0)
+        report = affine_separates_quadratic(f, AffineForm(np.array([1.0, 0.0]), 0.0))
+        assert (report.separates, report.margin) == answer
+        assert not report.near_degenerate
+
     def test_at_most_one_orientation_wins(self):
         rng = np.random.default_rng(33)
         wins = 0
@@ -173,6 +212,28 @@ class TestExistsSeparatingAffineLevels:
         result = exists_separating_affine_levels(f, np.array([1.0, 0.0]), TOL)
         assert not result.exists
 
+    @pytest.mark.parametrize(
+        ("a_mat", "c", "tol_psd", "orientation"),
+        [
+            # +1's eigenvector (1, 0) lies in {c'x = 0}; -1's has |lam| = ||A||_2.
+            ([-1e-6, 1.0], [0.0, 1.4], 1e-3, -1),
+            # A tie takes +1.
+            ([-1.0, 1.0], [1.0, 1.0], 1e-9, +1),
+        ],
+    )
+    def test_both_orientations_passing_builds_on_the_larger_negative_eigenvalue(self, a_mat, c, tol_psd, orientation):
+        # W lies in the zero band, so both orientations pass; the levels are
+        # built on the one whose witness line crosses the hyperplane.
+        f = make_quadratic(np.diag(a_mat), [0.0, 0.0], 0.0)
+        tol = ToleranceSet(tol_psd=tol_psd)
+        result = exists_separating_affine_levels(f, np.array(c), tol)
+        assert (result.exists, result.orientation) == (True, orientation)
+        h = AffineForm(np.array(c), -result.gamma)
+        report = affine_separates_quadratic(f.add_constant(-result.alpha), h, tol)
+        assert (report.separates, report.orientation) == (True, orientation)
+        wit = construct_separation_witness(f, h, report, tol, result.alpha)
+        assert wit.h_at_u * wit.h_at_v < 0.0
+
 
 class TestLevelPairSeparation:
     def test_twin_saddles_split_at_origin_levels(self):
@@ -210,31 +271,38 @@ class TestLevelPairSeparation:
         assert rep.ratio_g_on_f is None
 
     @pytest.mark.parametrize(
-        ("draw", "levels", "answer", "overflowing"),
+        ("draw", "levels", "answer"),
         [
-            (3556, ("-0x1.0044fe5f9f9c8p+2", "0x1.0ab2b973f39e3p+5"), (True, True), (509, 510)),
-            (3154, ("-0x1.7d56a2170bf6fp+4", "0x1.14c65b0af8f8cp+5"), (False, True), (510,)),
+            (3556, ("-0x1.0044fe5f9f9c8p+2", "0x1.0ab2b973f39e3p+5"), (True, True)),
+            (3154, ("-0x1.7d56a2170bf6fp+4", "0x1.14c65b0af8f8cp+5"), (False, True)),
         ],
     )
-    def test_overflowing_pseudoinverse_term_is_invalid_input(self, draw, levels, answer, overflowing):
-        # f, g and both levels scaled by 2^k keep the answer while the
-        # pseudoinverse term fits; past that the margin would be compared
-        # with inf, so the pair is invalid input, and nothing warns.  The
-        # levels are pinned: the draw's certificate today has levels at which
-        # the term fits even at 2^510.
+    def test_pinned_levels_keep_their_answer_up_to_two_to_the_510(self, draw, levels, answer):
+        # f, g and both levels scaled by 2^k keep the answer, and nothing
+        # warns.  The margin is measured at the point of the hyperplane
+        # nearest f's stationary point, and the pseudoinverse term divides
+        # before it squares, so the term fits at 2^509 and 2^510 too;
+        # measured from the origin's foot point it overflowed there.  The
+        # levels are pinned: they are not the draw's certificate's.
         rng = np.random.default_rng(5)
         for _ in range(draw + 1):
             p = random_instance(rng)
         alpha, beta = map(float.fromhex, levels)
-        for k in (0, 505, *overflowing):
+        for k in (0, 505, 509, 510):
             s = 2.0**k
-            args = (p.f.scaled(s), p.g.scaled(s), s * alpha, s * beta)
-            if k in overflowing:
-                with pytest.raises(InvalidInstance, match="pseudoinverse term overflows"):
-                    level_pair_separation(*args)
-            else:
-                rep = level_pair_separation(*args)
-                assert (rep.g_separates_f, rep.f_separates_g) == answer
+            rep = level_pair_separation(p.f.scaled(s), p.g.scaled(s), s * alpha, s * beta)
+            assert (rep.g_separates_f, rep.f_separates_g) == answer, k
+
+    def test_levels_whose_foot_point_terms_overflow_are_invalid_input(self):
+        # saddle_pair_dependent: at beta = 1e160 the hyperplane lies so far
+        # from the stationary point that f's terms at its foot point
+        # overflow; that is invalid input, before any evaluation warns.
+        f = make_quadratic(np.diag([-1.0, 1.0]), [0.0, 0.0], 0.0)
+        g = make_quadratic(np.diag([-2.0, 2.0]), [2.0, -1.0], 0.0)
+        rep = level_pair_separation(f, g, 0.0, 1e150)
+        assert (rep.g_separates_f, rep.f_separates_g) == (False, False)
+        with pytest.raises(InvalidInstance, match="terms at the foot point overflow"):
+            level_pair_separation(f, g, 0.0, 1e160)
 
 
 class TestConstructSeparationWitness:

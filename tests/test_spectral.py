@@ -197,6 +197,10 @@ class TestApplyPseudoinverse:
         with pytest.raises(InvalidInstance, match="pseudoinverse term overflows"):
             pinv_form(np.diag([1.0, 4.0]), np.array([2.0**600, 1.0]))
 
+    def test_term_whose_square_overflows_is_kept(self):
+        # (2**520)**2 overflows, but the term (2**520)**2 / 2**100 fits.
+        assert pinv_form(np.diag([2.0**100, 1.0]), np.array([2.0**520, 0.0])) == 2.0**940
+
     def test_large_finite_term_keeps_its_bits(self):
         # Past the bound that needs no check the sum is taken as before and
         # kept, since it is finite.
