@@ -59,10 +59,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qrange", description="Convexity of the joint range of two quadratics.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_common(p: _Parser, *, reads_problem: bool = True, decides: bool = True) -> None:
+    def add_common(p: _Parser, *, reads_problem: bool = True, decides: bool = True, csv_output: bool = False) -> None:
         if reads_problem:
             p.add_argument("--input", "-i", required=True, help="problem JSON file")
-        p.add_argument("--output", "-o", help="write the report here instead of stdout")
+        if csv_output:
+            p.add_argument("--output", "-o", required=True, help="CSV base path; the report goes to stdout")
+        else:
+            p.add_argument("--output", "-o", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default=None, help="output format")
         if decides:
             for name in ("tol-eig", "tol-dep", "tol-rank", "tol-psd"):
@@ -81,7 +84,7 @@ def _build_parser() -> _Parser:
     add_common(sub.add_parser("witness", help="nonconvexity witness with verification"))
 
     p_sample = sub.add_parser("sample", help="sample the joint range and look for holes")
-    add_common(p_sample, decides=False)
+    add_common(p_sample, decides=False, csv_output=True)
     p_sample.add_argument("--box", type=float, default=None, help="domain half-width (default 5, or 3 above dimension 4)")
     p_sample.add_argument("--samples", type=int, default=100_000, help="number of sample points")
     p_sample.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -231,8 +234,6 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     from .range_oracle import SampleMode, detect_holes, emit_plot_data, sample_range
 
-    if not args.output:
-        raise _UsageError("sample requires --output (the CSV base path)")
     p = load_problem(args.input)
     box = args.box if args.box is not None else (5.0 if p.n <= 4 else 3.0)
     mode = SampleMode(args.mode)

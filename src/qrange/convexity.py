@@ -194,7 +194,7 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
     if not dependent:
         return _convex(path, swapped)
 
-    f, g, ratio, hp = red.f, red.g, projected, red.hyperplane
+    g, ratio, hp = red.g, projected, red.hyperplane
     passes2 = hp.a_in and hp.c_in
     record2 = {
         "step": 2,
@@ -232,7 +232,7 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
     c0 = red.offset()
     gamma, alpha = _separating_levels(hp, c0, orientation)
     beta = ratio * alpha + gamma
-    report = _affine_separates(f.add_constant(-alpha), c0 - gamma, hp)
+    report = _affine_separates(hp, c0 - gamma, alpha)
     if not report.separates:
         raise InvalidReport(
             "internal inconsistency: constructed levels failed the separation check"

@@ -25,10 +25,9 @@ from .quadratic import ProblemInstance, make_quadratic, problem_to_dict
 from .separation import level_pair_separation
 
 __all__ = [
-    "LevelCheck",
-    "Expected",
     "CuratedCase",
     "SuiteRow",
+    "case_file_document",
     "curated_cases",
     "get_case",
     "evaluate_case",

@@ -138,15 +138,14 @@ def make_quadratic(M: np.ndarray, a: np.ndarray, a0: float, tol_sym: float = 1e-
 def evaluate(q: QuadraticFunction, x: np.ndarray) -> float:
     """Evaluate ``q`` at a single point ``x``.
 
-    The value is bit for bit ``float(x @ A @ x + 2.0 * (a @ x) + a0)`` for
-    ``x`` at a positive stride, in fewer calls: ``ndarray.dot`` runs the
-    BLAS gemv and dot kernels of ``@`` with less wrapping, and the tail is
-    summed in Python floats, the same IEEE operations as on NumPy scalars.
-    On a reversed or broadcast ``x``, where ``@`` loops without BLAS, it is
-    that expression on the contiguous copy.  ``A`` and ``a`` are the
-    contiguous copies :func:`make_quadratic` stores.
+    The value is bit for bit ``float(x @ A @ x + 2.0 * (a @ x) + a0)`` on
+    the contiguous copy of ``x``, for any layout, in fewer calls:
+    ``ndarray.dot`` runs the BLAS gemv and dot kernels of ``@`` with less
+    wrapping, and the tail is summed in Python floats, the same IEEE
+    operations as on NumPy scalars.  ``A`` and ``a`` are the contiguous
+    copies :func:`make_quadratic` stores.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float, order="C")
     if x.shape != (q.n,):
         raise DimensionMismatch(f"point has shape {x.shape}, expected ({q.n},)")
     return float(x.dot(q.A).dot(x)) + 2.0 * float(q.a.dot(x)) + q.a0

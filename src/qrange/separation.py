@@ -244,9 +244,15 @@ class HyperplaneReduction:
         self.c_scale = self.norm_c if c_scale is None else c_scale
 
     @classmethod
-    def alone(cls, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet) -> "HyperplaneReduction":
-        """The reduction of ``f`` along a ``c`` given on its own, so ``c_scale = ||c||``."""
-        return cls(f, c, tol, _norms(f))
+    def alone(cls, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet | None) -> "HyperplaneReduction":
+        """The reduction of ``f`` along a ``c`` given on its own, so ``c_scale = ||c||``.
+
+        Each public entry point validates here: ``c`` must have shape ``(f.n,)``; ``tol=None`` is the default.
+        """
+        c = np.asarray(c, dtype=float)
+        if c.shape != (f.n,):
+            raise DimensionMismatch(f"direction has shape {c.shape}, expected ({f.n},)")
+        return cls(f, c, tol or ToleranceSet(), _norms(f))
 
     @_lazy
     def sd(self) -> SpectralData:
@@ -443,14 +449,12 @@ def affine_separates_quadratic(
     f: QuadraticFunction, h: AffineForm, tol: ToleranceSet | None = None
 ) -> SeparationReport:
     """Does the hyperplane ``{h = 0}`` separate the level set ``{f = 0}``?"""
-    tol = tol or ToleranceSet()
-    if h.n != f.n:
-        raise DimensionMismatch(f"affine form on dimension {h.n}, quadratic on {f.n}")
-    return _affine_separates(f, h.c0, HyperplaneReduction.alone(f, h.c, tol))
+    return _affine_separates(HyperplaneReduction.alone(f, h.c, tol), h.c0)
 
 
-def _affine_separates(f: QuadraticFunction, c0: float, red: HyperplaneReduction) -> SeparationReport:
-    """Does ``{red.c'x + c0 = 0}`` separate ``{f = 0}``?  ``red`` reduces ``f`` up to a constant shift."""
+def _affine_separates(red: HyperplaneReduction, c0: float, alpha: float = 0.0) -> SeparationReport:
+    """Does ``{red.c'x + c0 = 0}`` separate ``{red.f = alpha}``?  It tests ``red.f - alpha``."""
+    f = red.f.add_constant(-alpha)
     if red.c_zero:
         failed = {sign: red.failed_conditions(sign) for sign in (+1, -1)}
         return SeparationReport(False, None, None, None, failed, False)
@@ -531,15 +535,12 @@ def exists_separating_affine_levels(
 
     The gradient of ``f`` vanishes at ``x_c``, so on the hyperplane
     ``s*(f(x) - alpha) = M + (x - x_c)' s*A (x - x_c) >= M``: the strictness
-    margin is ``M``, sized like the terms of ``f`` near ``x_c``.
+    margin is ``M``, sized like the terms of ``f`` near ``x_c``.  Levels
+    that overflow the float range are :class:`InvalidInstance`.
     """
-    tol = tol or ToleranceSet()
-    c = np.asarray(c, dtype=float)
-    if c.shape != (f.n,):
-        raise DimensionMismatch(f"direction has shape {c.shape}, expected ({f.n},)")
-    if _norm(c) == 0.0:
-        raise ZeroVector("level search requires a nonzero direction")
     red = HyperplaneReduction.alone(f, c, tol)
+    if red.c_zero:
+        raise ZeroVector("level search requires a nonzero direction")
     if not red.orientations:
         return LevelSearchResult(False, None, None, None)
     sign = red.orientations[0]
@@ -565,7 +566,10 @@ def _separating_levels(red: HyperplaneReduction, c0: float, sign: int) -> tuple[
     if slope > 0.0:
         reach = _STRADDLE_ULPS * (abs(c0) + red.c_scale * r2) / slope
         margin = max(margin, -lam * reach * reach)
-    return float(red.c @ x_c + c0), f_c - sign * margin
+    gamma, alpha = float(red.c @ x_c + c0), f_c - sign * margin
+    if not (math.isfinite(gamma) and math.isfinite(alpha)):
+        raise InvalidInstance("separating levels overflow the float range")
+    return gamma, alpha
 
 
 def _one_direction(
@@ -581,7 +585,7 @@ def _one_direction(
     # then does the reduction swap roles, so past this test red.f is f.
     if red.fa_zero or red.ratio is None:
         return False, None
-    return _affine_separates(f.add_constant(-alpha), red.offset(alpha, beta), red.hyperplane).separates, red.ratio
+    return _affine_separates(red.hyperplane, red.offset(alpha, beta), alpha).separates, red.ratio
 
 
 def level_pair_separation(
@@ -624,12 +628,10 @@ def construct_separation_witness(
     ``s*(f - alpha)`` falls from ``s*(f(x_c) - alpha) > 0`` as
     ``lam * t**2``, and ``tau = sqrt(s*(f(x_c) - alpha) / |lam|)``.
     """
-    tol = tol or ToleranceSet()
-    if h.n != f.n:
-        raise DimensionMismatch(f"affine form on dimension {h.n}, quadratic on {f.n}")
+    red = HyperplaneReduction.alone(f, h.c, tol)
     if not report.separates or report.orientation is None:
         raise InvalidReport("witness construction requires a successful separation report")
-    return _separation_witness(HyperplaneReduction.alone(f, h.c, tol), h.c0, report.orientation, alpha)
+    return _separation_witness(red, h.c0, report.orientation, alpha)
 
 
 def _separation_witness(red: HyperplaneReduction, c0: float, sign: int, alpha: float) -> SeparationWitness:

@@ -301,6 +301,16 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "sample", "--input", SPLIT)
         assert code == 1
 
+    def test_sample_help_shows_output_as_the_required_csv_base_path(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--input INPUT --output OUTPUT" in out
+        assert "[--output" not in out
+        assert "CSV base path; the report goes to stdout" in out
+        assert "instead of stdout" not in out
+
     def test_sample_byte_identical(self, capsys, tmp_path):
         for name in ("one", "two"):
             run_cli(

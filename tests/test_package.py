@@ -28,6 +28,11 @@ class TestNamespace:
             if hasattr(value, "__module__"):
                 assert value.__module__ == home.__name__, name
 
+    def test_every_submodule_exports_what_the_package_does(self):
+        for module, names in qrange._EXPORTS.items():
+            home = importlib.import_module(f"qrange.{module}")
+            assert sorted(home.__all__) == sorted(names), module
+
     def test_star_import_binds_every_name(self):
         namespace: dict = {}
         exec("from qrange import *", namespace)

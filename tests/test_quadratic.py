@@ -131,8 +131,8 @@ class TestEvaluation:
     def test_evaluate_is_the_matmul_expression_bit_for_bit(self, n):
         # evaluate calls the kernels of x @ A @ x + 2 (a @ x) + a0 with less
         # wrapping; its value must keep every bit, at every common scale of
-        # the coefficients.  On a reversed or broadcast x, where @ loops
-        # without BLAS, the bits are those of the contiguous copy.
+        # the coefficients.  On every layout of x, strided, reversed or
+        # broadcast, the bits are those of the contiguous copy.
         rng = np.random.default_rng(40 + n)
         for exponent in range(-500, 501, 50):
             s = 2.0**exponent
@@ -146,9 +146,15 @@ class TestEvaluation:
                     np.broadcast_to(base[0], (n,)),  # stride 0
                 )
                 for x in layouts:
-                    y = x if x.strides[0] > 0 else np.ascontiguousarray(x)
+                    y = np.ascontiguousarray(x)
                     expected = float(y @ f.A @ y + 2.0 * (f.a @ y) + f.a0)
                     assert evaluate(f, x).hex() == expected.hex(), (exponent, x)
+
+    def test_evaluate_rejects_a_point_of_the_wrong_shape(self):
+        f = saddle()
+        for x in (np.zeros(3), np.zeros((2, 1)), np.array(1.0), 1.0):
+            with pytest.raises(DimensionMismatch, match="expected \\(2,\\)"):
+                evaluate(f, x)
 
     def test_callable_protocol(self):
         f = saddle()

@@ -11,6 +11,7 @@ from qrange import (
     InvalidInstance,
     InvalidReport,
     ToleranceSet,
+    ZeroVector,
     affine_separates_quadratic,
     combination_affine_form,
     construct_separation_witness,
@@ -211,6 +212,17 @@ class TestExistsSeparatingAffineLevels:
         f = make_quadratic(np.eye(2), np.zeros(2), 0.0)
         result = exists_separating_affine_levels(f, np.array([1.0, 0.0]), TOL)
         assert not result.exists
+
+    def test_zero_direction_is_rejected(self):
+        with pytest.raises(ZeroVector):
+            exists_separating_affine_levels(hyperbola(), np.zeros(2), TOL)
+
+    def test_levels_that_overflow_are_invalid_input(self):
+        # x_c = (0, -1e200) fits, but the margin grows as ||A||_2 (1 + ||x_c||)^2
+        # and alpha would read -inf; that is invalid input, and nothing warns.
+        f = make_quadratic(np.diag([-1e-100, 1e-100]), [0.0, 1e100], 0.0)
+        with pytest.raises(InvalidInstance, match="separating levels overflow"):
+            exists_separating_affine_levels(f, np.array([1.0, 0.0]), TOL)
 
     @pytest.mark.parametrize(
         ("a_mat", "c", "tol_psd", "orientation"),
