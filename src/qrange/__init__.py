@@ -62,7 +62,6 @@ _EXPORTS = {
         "SeparationReport",
         "SeparationWitness",
         "affine_separates_quadratic",
-        "combination_affine_form",
         "construct_separation_witness",
         "exists_separating_affine_levels",
         "level_pair_separation",

@@ -19,6 +19,7 @@ invocations; the effective tolerances are always echoed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, Sequence
 
@@ -55,6 +56,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _csv_base(path: str) -> str:
+    """``path``, or a usage error if its file name less a ``.csv`` suffix is empty, ``.`` or ``..``."""
+    root = path[:-4] if path.lower().endswith(".csv") else path
+    if os.path.basename(root) in ("", ".", ".."):
+        raise argparse.ArgumentTypeError(f"CSV base path {path!r} names no file")
+    return path
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qrange", description="Convexity of the joint range of two quadratics.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -63,7 +72,7 @@ def _build_parser() -> _Parser:
         if reads_problem:
             p.add_argument("--input", "-i", required=True, help="problem JSON file")
         if csv_output:
-            p.add_argument("--output", "-o", required=True, help="CSV base path; the report goes to stdout")
+            p.add_argument("--output", "-o", required=True, type=_csv_base, help="CSV base path; the report goes to stdout")
         else:
             p.add_argument("--output", "-o", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default=None, help="output format")

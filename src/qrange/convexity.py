@@ -30,9 +30,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InvalidReport
 from .quadratic import ProblemInstance, evaluate
-from .separation import _affine_separates, _PairReduction, _separating_levels, _separation_witness
+from .separation import _PairReduction, _separating_levels, _separation_witness
 
 __all__ = [
     "VERDICT_CONVEX",
@@ -226,17 +225,14 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
         return _convex(path, swapped)
     orientation = hp.orientations[0]
 
-    # Construct the certificate at f's stationary point: levels, this
-    # checker's own re-check of them, then witness points.  Every level form
-    # of the pair is hp's hyperplane at another offset.
+    # Construct the certificate at f's stationary point: levels, then witness
+    # points.  Every level form of the pair is hp's hyperplane at another
+    # offset.  It passes through x_c, and s*A is semidefinite on it, so the
+    # least value of s*(f - alpha) on it is the margin s*(f(x_c) - alpha),
+    # which the witness requires to be positive.
     c0 = red.offset()
     gamma, alpha = _separating_levels(hp, c0, orientation)
     beta = ratio * alpha + gamma
-    report = _affine_separates(hp, c0 - gamma, alpha)
-    if not report.separates:
-        raise InvalidReport(
-            "internal inconsistency: constructed levels failed the separation check"
-        )
     wit = _separation_witness(hp, c0 - gamma, orientation, alpha)
     range_u = np.array([wit.f_at_u, evaluate(g, wit.u)])
     range_v = np.array([wit.f_at_v, evaluate(g, wit.v)])
@@ -253,7 +249,7 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
             "separating_level": gamma,
             "f_level": f_level,
             "g_level": g_level,
-            "margin": report.margin,
+            "margin": orientation * (hp.f_c - alpha),
             "outcome": "nonconvex",
         }
     )

@@ -56,7 +56,6 @@ __all__ = [
     "SeparationWitness",
     "LevelSearchResult",
     "LevelPairReport",
-    "combination_affine_form",
     "affine_separates_quadratic",
     "exists_separating_affine_levels",
     "level_pair_separation",
@@ -410,7 +409,8 @@ class _PairReduction:
 
     @_lazy
     def hyperplane(self) -> HyperplaneReduction:
-        # combination_affine_form's direction, bounded termwise by twice g - ratio * f.
+        # The gradient of -ratio*f + g (the stored linear terms are half
+        # gradients), bounded termwise by twice g - ratio * f.
         c = 2.0 * (-self.ratio * self.f.a + self.g.a)
         c_scale = 2.0 * (abs(self.ratio) * self.f_scale + self.g_scale)
         return HyperplaneReduction(self.f, c, self.tol, self.f_norms, c_scale)
@@ -424,25 +424,6 @@ class _PairReduction:
         if not math.isfinite(offset):
             raise InvalidInstance("level form offset overflows the float range")
         return offset
-
-
-def combination_affine_form(
-    f: QuadraticFunction,
-    g: QuadraticFunction,
-    ratio: float,
-    alpha: float = 0.0,
-    beta: float = 0.0,
-) -> AffineForm:
-    """The affine function ``-ratio*(f - alpha) + (g - beta)``.
-
-    Only valid when the quadratic parts cancel (``g.A = ratio * f.A``); the
-    caller is responsible for having established that.  Because the stored
-    linear term is half the gradient, the affine form's direction is
-    ``2*(-ratio*f.a + g.a)``.
-    """
-    grad = 2.0 * (-ratio * f.a + g.a)
-    const = -ratio * (f.a0 - alpha) + (g.a0 - beta)
-    return AffineForm(grad, float(const))
 
 
 def affine_separates_quadratic(
@@ -552,9 +533,10 @@ def _separating_levels(red: HyperplaneReduction, c0: float, sign: int) -> tuple[
     x_c, f_c = red.x_c, red.f_c
     r = 1.0 + _norm(x_c)
     r2 = r**2
-    # The margin is sized like f's terms near x_c, and also clears, twice
-    # over, the threshold that _affine_separates re-checks it against at
-    # x_c, and the rounding of alpha, a unit of |f(x_c)|.
+    # The margin is sized like f's terms near x_c.  It also clears, twice
+    # over, the threshold of the margin test that level_pair_separation
+    # applies at these levels, where the foot point is x_c, and the rounding
+    # of alpha, a unit of |f(x_c)|.
     tol_psd = red.tol.tol_psd
     margin = max(red.sd.spectral_norm * r2, 2.0 * tol_psd * (abs(f_c) + red.terms(r)) / (1.0 - tol_psd))
     # The witness points x_c -/+ tau*d, tau = sqrt(margin / |lam|), lie

@@ -301,6 +301,18 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "sample", "--input", SPLIT)
         assert code == 1
 
+    @pytest.mark.parametrize("output", ["", ".csv", "out/", "out/.CSV", ".", "out/.."])
+    def test_sample_rejects_a_csv_base_path_that_names_no_file(self, capsys, tmp_path, monkeypatch, output):
+        # Each would write hidden files: .csv, _hull.csv and _holes.csv, or
+        # ..csv and ._hull.csv for ".", or ...csv for "..".
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "sample", "--input", SPLIT, "--output", output)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and "names no file" in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["out"]
+
     def test_sample_help_shows_output_as_the_required_csv_base_path(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--help"])

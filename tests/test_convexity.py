@@ -244,19 +244,25 @@ class TestDifferentialAgreement:
                 assert report["valid"], report
 
 
+def assert_levels_separate_in_the_analysed_direction(p, cert):
+    """check's NONCONVEX levels are a level pair that separate splits the same way.
+
+    ``{g = beta}`` splits ``{f = alpha}``, or the reverse when the
+    certificate analysed the swapped pair.
+    """
+    rep = level_pair_separation(p.f, p.g, cert.f_level, cert.g_level, p.tolerances)
+    assert rep.f_separates_g if cert.swapped else rep.g_separates_f, cert.to_jsonable()
+
+
 class TestCheckAgreesWithSeparate:
     def test_certificate_levels_separate_in_the_analysed_direction(self):
-        # check's NONCONVEX levels must be a level pair that separate splits
-        # the same way: {g = beta} splits {f = alpha}, or the reverse when the
-        # certificate analysed the swapped pair.
         instances = [c.instance for c in curated_cases()] + differential_batch(seed=20240817, count=500)
         checked = 0
         for p in instances:
             cert = check_convexity(p)
             if cert.verdict != VERDICT_NONCONVEX:
                 continue
-            rep = level_pair_separation(p.f, p.g, cert.f_level, cert.g_level, p.tolerances)
-            assert rep.f_separates_g if cert.swapped else rep.g_separates_f, cert.to_jsonable()
+            assert_levels_separate_in_the_analysed_direction(p, cert)
             checked += 1
         assert checked >= 50
 
@@ -294,10 +300,11 @@ class TestInvarianceProperties:
             assert cert.verdict == VERDICT_NONCONVEX
             assert verify_certificate(shifted, cert)["valid"], (df, dg)
 
-    def test_far_stationary_point_levels_pass_the_recheck(self):
-        # ||x_c|| is about 1e9, so the re-check's threshold, which grows
-        # like ||a|| * ||x_c||^2, is above ||A||_2 * (1 + ||x_c||)^2 at
-        # tol_psd = 1e-6; the built margin clears it all the same.
+    def test_far_stationary_point_levels_verify_and_separate(self):
+        # ||x_c|| is about 1e9, so separate's margin threshold at the
+        # certificate's levels, which grows like ||a|| * ||x_c||^2, is above
+        # ||A||_2 * (1 + ||x_c||)^2 at tol_psd = 1e-6; the built margin
+        # clears it all the same.
         f = make_quadratic(np.diag([1.0, -1.0]), [1e9, 3e8], 0.0)
         g = make_quadratic(np.diag([2.0, -2.0]), [0.0, 1.0], 0.0)
         for tol in (ToleranceSet(), ToleranceSet(tol_psd=1e-6)):
@@ -305,6 +312,7 @@ class TestInvarianceProperties:
             cert = check_convexity(p)
             assert cert.verdict == VERDICT_NONCONVEX
             assert verify_certificate(p, cert)["valid"]
+            assert_levels_separate_in_the_analysed_direction(p, cert)
 
     def test_value_scaling_preserves_verdict(self):
         rng = np.random.default_rng(57)
@@ -396,8 +404,8 @@ class TestInvarianceProperties:
 
     def test_overflow_near_the_top_of_the_range_is_invalid_input(self):
         # At 2^510 only overflowing coefficient norms are invalid input.
-        # The re-check measures its margin at the stationary point, so its
-        # pseudoinverse term is rounding there.  The combined gradient's
+        # The certificate's margin is read at the stationary point, so no
+        # pseudoinverse term enters it.  The combined gradient's
         # squared norm can overflow; its norm is then taken on the gradient
         # brought to unit size.  Every other draw is decided, with the
         # unscaled verdict and a certificate that verifies.
@@ -438,9 +446,9 @@ class TestToleranceCutoffs:
     @pytest.mark.parametrize("lam", [1e-6, 1e-8])
     def test_rank_tolerance_above_eigenvalue_tolerance(self, lam, tol_rank):
         # The inertia counts -lam as negative.  Cut at tol_rank, A's column
-        # space would drop its eigenvector, so c fails membership (CONVEX),
-        # and W's pseudoinverse would drop W's eigenvalue ~4e-4 that its
-        # inertia counts positive, so the re-check fails (InvalidReport).
+        # space would drop its eigenvector, so c would fail membership and
+        # the verdict would be CONVEX.  This pair guards A's cutoff only; the
+        # next test guards W's.
         p = self.weak_pair(lam, tol_rank)
         cert = check_convexity(p)
         assert cert.verdict == VERDICT_NONCONVEX
@@ -450,16 +458,22 @@ class TestToleranceCutoffs:
     def test_restricted_form_cutoff_keeps_the_rank_tolerance(self):
         # Draw 366 (n = 6) has a restricted-form eigenvalue of about
         # -8.9e-5 * ||A||_2.  At tol_psd = 1e-3 its inertia counts it as zero,
-        # but the re-check's pseudoinverse must keep it, or the projected
-        # gradient leaves the column space: the cutoff is min(tol_rank, tol_psd).
+        # but W's pseudoinverse must keep it, or the projected gradient leaves
+        # the column space: the cutoff is min(tol_rank, tol_psd).  The reverse
+        # direction of separate, {f = alpha} splitting {g = beta} at the
+        # certificate's levels, reads W away from its stationary point, and
+        # is false with a cutoff of tol_psd * ||A||_2.
         rng = np.random.default_rng(5)
         for _ in range(367):
             p = random_instance(rng)
         assert p.f.n == 6
         q = ProblemInstance(p.f, p.g, ToleranceSet(tol_psd=1e-3))
         result = cross_check(q)
-        assert result.agree and result.certificate.verdict == VERDICT_NONCONVEX
-        assert verify_certificate(q, result.certificate)["valid"]
+        cert = result.certificate
+        assert result.agree and cert.verdict == VERDICT_NONCONVEX
+        assert verify_certificate(q, cert)["valid"]
+        rep = level_pair_separation(q.f, q.g, cert.f_level, cert.g_level, q.tolerances)
+        assert (rep.g_separates_f, rep.f_separates_g) == (True, True)
 
     def test_both_checkers_read_one_membership_of_the_linear_terms(self):
         # Draw 3164 (n = 2, A of rank 1) at these tolerances: c passes the
@@ -485,9 +499,9 @@ class TestBoundaryFamilies:
     """NONCONVEX draws with one tolerance decision moved to ``k`` times its threshold.
 
     On either side of a threshold nothing raises, every NONCONVEX certificate
-    verifies, both checkers agree, and the verdict is the one that side of
-    the threshold gives.  The same holds, verdicts aside, under raised
-    tolerances.
+    verifies and its levels separate in the analysed direction, both checkers
+    agree, and the verdict is the one that side of the threshold gives.  The
+    same holds, verdicts aside, under raised tolerances.
     """
 
     K = [sign * k for k in (0.1, 0.32, 0.56, 1.78, 3.16, 10.0) for sign in (1, -1)]
@@ -513,9 +527,11 @@ class TestBoundaryFamilies:
     def decided(q: ProblemInstance):
         result = cross_check(q)
         assert result.agree
-        if result.certificate.verdict == VERDICT_NONCONVEX:
-            assert verify_certificate(q, result.certificate)["valid"]
-        return result.certificate.verdict
+        cert = result.certificate
+        if cert.verdict == VERDICT_NONCONVEX:
+            assert verify_certificate(q, cert)["valid"]
+            assert_levels_separate_in_the_analysed_direction(q, cert)
+        return cert.verdict
 
     @staticmethod
     def rebuilt(p, cert, f, g) -> ProblemInstance:
@@ -748,11 +764,13 @@ class TestSharedReduction:
 
     @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
     def test_at_most_two_range_memberships_per_nonconvex_case(self, spectral_calls, case):
-        # One column-space split of A serves a and c in range(A) and x_c; one
-        # of W serves the projected gradient's membership and pseudoinverse.
-        calls = spectral_calls("_column_space")
+        # One column-space split of A serves a and c in range(A) and x_c.  The
+        # certificate's margin is read at x_c, so nothing splits W or applies
+        # its pseudoinverse.
+        calls, pinv_calls = spectral_calls("_column_space"), spectral_calls("apply_pseudoinverse")
         assert check_convexity(case.instance).verdict == VERDICT_NONCONVEX
-        assert len(calls) == 2, calls
+        assert len(calls) == 1, calls
+        assert pinv_calls == []
 
     @pytest.mark.parametrize("checker", [check_convexity, cross_check], ids=lambda fn: fn.__name__)
     def test_independent_pencil_needs_no_eigensolve(self, spectral_calls, checker):
@@ -813,9 +831,10 @@ class TestSharedReduction:
 
     @pytest.mark.parametrize("case", NONCONVEX_CASES, ids=lambda c: c.name)
     def test_certify_reads_the_witness_values_of_f(self, monkeypatch, case):
-        # The reduction keeps f(x_c) for the levels and the witness, and the
-        # witness keeps f at its two points from its level check, so the
-        # checker evaluates only g there; the verifier still evaluates afresh.
+        # The reduction keeps f(x_c) for the levels, the witness and the
+        # margin, and the witness keeps f at its two points from its level
+        # check, so the checker evaluates only g there; the verifier still
+        # evaluates afresh.
         calls = []
         original = quadratic.evaluate
 
@@ -827,7 +846,7 @@ class TestSharedReduction:
             if module_name.split(".")[0] == "qrange" and vars(module).get("evaluate") is original:
                 monkeypatch.setattr(module, "evaluate", counting)
         cert = check_convexity(case.instance)
-        assert len(calls) == 6
+        assert len(calls) == 5
         calls.clear()
         assert verify_certificate(case.instance, cert)["valid"]
         assert len(calls) == 4

@@ -13,7 +13,6 @@ from qrange import (
     ToleranceSet,
     ZeroVector,
     affine_separates_quadratic,
-    combination_affine_form,
     construct_separation_witness,
     evaluate,
     exists_separating_affine_levels,
@@ -39,29 +38,6 @@ class TestAffineForm:
     def test_empty_direction_rejected(self):
         with pytest.raises(DimensionMismatch):
             AffineForm(np.array([]), 0.0)
-
-
-class TestCombinationAffineForm:
-    def test_gradient_doubles_stored_linear_term(self):
-        # difference of the two shifted saddles: (g - 0) - 1*(f - 0) = 2x - 1
-        f = hyperbola(1.0)
-        g = make_quadratic([[-1.0, 0.0], [0.0, 4.0]], [1.0, 0.0], 0.0)
-        h = combination_affine_form(f, g, 1.0)
-        assert np.allclose(h.c, [2.0, 0.0])
-        assert h.c0 == pytest.approx(-1.0)
-
-    def test_matches_pointwise_difference(self):
-        rng = np.random.default_rng(21)
-        a_mat = symmetric_with_spectrum(rng, np.array([-1.0, 0.5, 2.0]))
-        f = make_quadratic(a_mat, rng.uniform(-1, 1, 3), 0.7)
-        ratio = -1.25
-        g = make_quadratic(ratio * a_mat, rng.uniform(-1, 1, 3), -0.3)
-        alpha, beta = 0.6, -1.1
-        h = combination_affine_form(f, g, ratio, alpha, beta)
-        for _ in range(10):
-            x = rng.uniform(-2, 2, 3)
-            expected = -ratio * (evaluate(f, x) - alpha) + (evaluate(g, x) - beta)
-            assert h(x) == pytest.approx(expected, abs=1e-10)
 
 
 class TestAffineSeparatesQuadratic:
