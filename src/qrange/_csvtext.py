@@ -101,11 +101,6 @@ def _format_block(block: np.ndarray) -> str:
     # hi >= 1e16 > 2**53 is an even integer, so rint's ties-to-even on lo rounds hi + lo half to even.
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     k = 16 - j
-    carry = n == 10**17
-    if carry.any():
-        n[carry] = 10**16
-        k[carry] += 1
-        plain &= k <= 16
     n[zero] = 0  # k is already 0, from the placeholder 1.0
     lead, rest = np.divmod(n, 10**16)
     upper, lower = np.divmod(rest, 10**8)

@@ -224,10 +224,6 @@ def get_case(name: str) -> CuratedCase:
     raise KeyError(f"no curated case named {name!r}")
 
 
-def _row(case: str, check: str, passed: bool, detail: str) -> SuiteRow:
-    return SuiteRow(case, check, bool(passed), detail)
-
-
 def evaluate_case(case: CuratedCase) -> list[SuiteRow]:
     """Re-derive every expectation of one curated case."""
     rows: list[SuiteRow] = []
@@ -236,7 +232,7 @@ def evaluate_case(case: CuratedCase) -> list[SuiteRow]:
     result = cross_check(inst)
     cert = result.certificate
     rows.append(
-        _row(
+        SuiteRow(
             case.name,
             "checker_agreement",
             result.agree,
@@ -244,17 +240,17 @@ def evaluate_case(case: CuratedCase) -> list[SuiteRow]:
         )
     )
     rows.append(
-        _row(case.name, "verdict", cert.verdict == exp.verdict, f"expected {exp.verdict}, got {cert.verdict}")
+        SuiteRow(case.name, "verdict", cert.verdict == exp.verdict, f"expected {exp.verdict}, got {cert.verdict}")
     )
 
     if exp.pencil_ratio is not None:
         got = cert.pencil_ratio
         ok = got is not None and abs(got - exp.pencil_ratio) <= _RATIO_TOL * max(1.0, abs(exp.pencil_ratio))
-        rows.append(_row(case.name, "pencil_ratio", ok, f"expected {exp.pencil_ratio!r}, got {got!r}"))
+        rows.append(SuiteRow(case.name, "pencil_ratio", ok, f"expected {exp.pencil_ratio!r}, got {got!r}"))
 
     if exp.orientation is not None:
         rows.append(
-            _row(
+            SuiteRow(
                 case.name,
                 "orientation",
                 cert.orientation == exp.orientation,
@@ -265,7 +261,7 @@ def evaluate_case(case: CuratedCase) -> list[SuiteRow]:
     if exp.final_step is not None:
         got_step = cert.path[-1]["step"] if cert.path else None
         rows.append(
-            _row(
+            SuiteRow(
                 case.name,
                 "decision_step",
                 got_step == exp.final_step,
@@ -282,7 +278,7 @@ def evaluate_case(case: CuratedCase) -> list[SuiteRow]:
             np.all(np.abs(eigs - np.asarray(exp.matrix_eigenvalues)) <= _EIG_TOL)
         )
         rows.append(
-            _row(
+            SuiteRow(
                 case.name,
                 "matrix_eigenvalues",
                 ok,
@@ -294,7 +290,7 @@ def evaluate_case(case: CuratedCase) -> list[SuiteRow]:
         rep = level_pair_separation(inst.f, inst.g, lc.f_level, lc.g_level, inst.tolerances)
         ok = rep.g_separates_f == lc.g_separates_f and rep.f_separates_g == lc.f_separates_g
         rows.append(
-            _row(
+            SuiteRow(
                 case.name,
                 f"level_pair({lc.f_level:g},{lc.g_level:g})",
                 ok,
@@ -306,7 +302,7 @@ def evaluate_case(case: CuratedCase) -> list[SuiteRow]:
     if exp.verdict == VERDICT_NONCONVEX:
         verification = verify_certificate(inst, cert)
         rows.append(
-            _row(
+            SuiteRow(
                 case.name,
                 "witness_valid",
                 verification["valid"],

@@ -101,11 +101,10 @@ def _uniform_block(seed: int, block_index: int, n: int, box: float, rows: int) -
 
 
 def _grid_side(count: int, n: int) -> int:
-    side = max(1, round(count ** (1.0 / n)))
+    """The least side ``s`` with ``s**n >= count``; the rounded root never exceeds it."""
+    side = round(count ** (1.0 / n))
     while side**n < count:
         side += 1
-    while side > 1 and (side - 1) ** n >= count:
-        side -= 1
     return side
 
 

@@ -498,9 +498,8 @@ def exists_separating_affine_levels(
     f: QuadraticFunction,
     c: np.ndarray,
     tol: ToleranceSet | None = None,
-    c0: float = 0.0,
 ) -> LevelSearchResult:
-    """Do levels ``gamma, alpha`` exist with ``{c'x + c0 = gamma}`` separating ``{f = alpha}``?
+    """Do levels ``gamma, alpha`` exist with ``{c'x = gamma}`` separating ``{f = alpha}``?
 
     Existence depends only on the direction of ``c``: it requires, for some
     orientation ``s``, exactly one negative eigenvalue of ``s*A``, both
@@ -508,7 +507,7 @@ def exists_separating_affine_levels(
     positive semidefinite on ``{c'x = 0}``.  When these hold, the levels are
     built at the stationary point ``x_c = -pinv(A) a``:
 
-    * ``gamma = c'x_c + c0`` puts the hyperplane through ``x_c``;
+    * ``gamma = c'x_c`` puts the hyperplane through ``x_c``;
     * ``alpha = f(x_c) - s*M`` with ``M = ||A||_2 * (1 + ||x_c||)**2``, or
       more where the tolerance of the margin test, the rounding of
       ``f(x_c)``, or the rounding of values at the witness points that must
@@ -525,7 +524,7 @@ def exists_separating_affine_levels(
     if not red.orientations:
         return LevelSearchResult(False, None, None, None)
     sign = red.orientations[0]
-    return LevelSearchResult(True, sign, *_separating_levels(red, c0, sign))
+    return LevelSearchResult(True, sign, *_separating_levels(red, 0.0, sign))
 
 
 def _separating_levels(red: HyperplaneReduction, c0: float, sign: int) -> tuple[float, float]:
@@ -584,12 +583,16 @@ def level_pair_separation(
     which case the combination ``-ratio*(f - alpha) + (g - beta)`` is affine
     and coincides with ``g - beta`` on ``{f = alpha}``.  If both functions are
     affine, or the quadratic parts are independent, both directions are false.
+    A non-finite level is :class:`InvalidInstance`.
     """
     tol = tol or ToleranceSet()
     if f.n != g.n:
         raise DimensionMismatch(f"dimension mismatch: {f.n} vs {g.n}")
-    g_on_f, ratio_gf = _one_direction(f, float(alpha), g, float(beta), tol)
-    f_on_g, ratio_fg = _one_direction(g, float(beta), f, float(alpha), tol)
+    alpha, beta = float(alpha), float(beta)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise InvalidInstance("levels must be finite")
+    g_on_f, ratio_gf = _one_direction(f, alpha, g, beta, tol)
+    f_on_g, ratio_fg = _one_direction(g, beta, f, alpha, tol)
     return LevelPairReport(g_on_f, f_on_g, ratio_gf, ratio_fg)
 
 
@@ -608,9 +611,12 @@ def construct_separation_witness(
     ``x_c = -pinv(A) a`` along the eigenvector ``d`` of ``s*A``'s negative
     eigenvalue ``lam``.  The gradient vanishes at ``x_c``, so along that line
     ``s*(f - alpha)`` falls from ``s*(f(x_c) - alpha) > 0`` as
-    ``lam * t**2``, and ``tau = sqrt(s*(f(x_c) - alpha) / |lam|)``.
+    ``lam * t**2``, and ``tau = sqrt(s*(f(x_c) - alpha) / |lam|)``.  A
+    non-finite ``alpha`` is :class:`InvalidInstance`.
     """
     red = HyperplaneReduction.alone(f, h.c, tol)
+    if not math.isfinite(alpha):
+        raise InvalidInstance("levels must be finite")
     if not report.separates or report.orientation is None:
         raise InvalidReport("witness construction requires a successful separation report")
     return _separation_witness(red, h.c0, report.orientation, alpha)

@@ -18,19 +18,15 @@ from .errors import DimensionMismatch
 __all__ = ["format_float", "format_csv_rows", "canonical_json"]
 
 
-def _finite_text(x: float) -> str:
-    # ".17g" prints finite values with a lowercase "e" only; ".0" keeps an
-    # integral value reading as a float.
-    text = format(x, ".17g")
-    return text if "." in text or "e" in text else text + ".0"
-
-
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits, keeping JSON float-ness."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return _finite_text(x)
+    # ".17g" prints finite values with a lowercase "e" only; ".0" keeps an
+    # integral value reading as a float.
+    text = format(x, ".17g")
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def format_csv_rows(rows: np.ndarray) -> str:
@@ -50,15 +46,15 @@ def format_csv_rows(rows: np.ndarray) -> str:
       and NumPy rounds every ufunc result (it fuses no multiply-add across
       calls).
     * ``hi`` is an even integer above ``2**53``, so ``hi + rint(lo)`` is the
-      17-digit integer rounded half to even, as ``.17g`` rounds; a carry to
-      ``10**17`` becomes ``10**16`` with ``k + 1``.
+      17-digit integer rounded half to even, as ``.17g`` rounds.  It never
+      reaches ``10**17``: that needs ``|x|`` less than 5e-18 (relative) below
+      a power of ten, and no float64 lies that close to one in the window.
     * A 4-digit table prints the digits into fixed-width byte slots, and a
       mask looked up by sign, ``k`` and the last nonzero digit keeps the
       sign, the point, the digits without trailing zeros and the separator.
 
-    A row holding a value outside the window (exponent form, including a
-    carry that reaches ``1e17``) is printed value by value with
-    :func:`format_float`.
+    A row holding a value outside the window (exponent form) is printed
+    value by value with :func:`format_float`.
 
     Anything but an ``(m, 2)`` float64 array raises :class:`DimensionMismatch`.
     Every value is checked before any text is built, so a non-finite value

@@ -206,7 +206,10 @@ def apply_pseudoinverse(s: SpectralData, w: np.ndarray, cutoff: float, thr: floa
     Computed spectrally as ``sum (q_i'w)^2 / eig_i`` over the column-space
     eigenpairs that ``_column_space`` keeps; ``None`` when ``w`` lies outside
     that column space.  (Intended for semidefinite ``M``, where the sign of
-    the result matches the sign of ``M``.)  A sum that overflows is
+    the result matches the sign of ``M``.)  While ``||q'w||^2`` stays below
+    ``cutoff * 2**1000`` no square can overflow, so it squares first; past
+    that bound each term divides before it squares, so a term that fits
+    never overflows on the way.  A sum that overflows is
     :class:`InvalidInstance`: no margin can be measured against it.
     """
     Q, vals = _column_space(s, cutoff)

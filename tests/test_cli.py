@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,7 +10,10 @@ import numpy as np
 import pytest
 
 from qrange import (
+    VERDICT_CONVEX,
+    VERDICT_NONCONVEX,
     ProblemInstance,
+    RootFailure,
     curated_cases,
     get_case,
     load_problem,
@@ -198,6 +202,50 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "invalid input: coefficient norms underflow the float range\n"
+
+    @pytest.mark.parametrize("path", [CONVEX, SPLIT], ids=["convex", "split"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_levels_are_invalid_input(self, capsys, path, bad):
+        for levels in ((f"--alpha={bad}", "--beta=0"), ("--alpha=0", f"--beta={bad}")):
+            code, out, err = run_cli(capsys, "separate", "--input", path, *levels)
+            assert (code, out, err) == (2, "", "invalid input: levels must be finite\n"), levels
+
+    def test_cross_check_disagreement_exits_3_with_diagnostics(self, capsys, monkeypatch):
+        import qrange.convexity
+
+        real = qrange.convexity._check_flores_bazan
+
+        def flipped(red):
+            fb = real(red)
+            verdict = VERDICT_CONVEX if fb.verdict == VERDICT_NONCONVEX else VERDICT_NONCONVEX
+            return dataclasses.replace(fb, verdict=verdict)
+
+        monkeypatch.setattr(qrange.convexity, "_check_flores_bazan", flipped)
+        code, out, err = run_cli(capsys, "cross-check", "--input", SPLIT)
+        assert (code, err) == (3, "")
+        result = json.loads(out)["result"]
+        assert (result["agree"], result["separation_verdict"], result["flores_bazan_verdict"]) == (
+            False,
+            VERDICT_NONCONVEX,
+            VERDICT_CONVEX,
+        )
+        assert set(result["diagnostics"]) == {"separation_path", "fb_conditions"}
+
+    def test_check_exits_4_when_the_witness_construction_fails(self, capsys, monkeypatch):
+        def fail(*args):
+            raise RootFailure("no root")
+
+        monkeypatch.setattr("qrange.convexity._separation_witness", fail)
+        code, out, err = run_cli(capsys, "check", "--input", SPLIT)
+        assert (code, out, err) == (4, "", "internal invariant violation: no root\n")
+
+    def test_unverified_witness_exits_4(self, capsys, monkeypatch):
+        verification = {"applicable": True, "valid": False, "reason": "rejected"}
+        monkeypatch.setattr("qrange.convexity.verify_certificate", lambda p, cert: verification)
+        code, out, err = run_cli(capsys, "witness", "--input", SPLIT)
+        assert (code, err) == (4, "")
+        result = json.loads(out)["result"]
+        assert (result["verdict"], result["verification"]) == (VERDICT_NONCONVEX, verification)
 
 
 class TestCheckCommand:

@@ -69,9 +69,15 @@ class TestCheckConvexityVerdicts:
     def test_both_matrices_zero_convex(self):
         f = make_quadratic(np.zeros((2, 2)), [1.0, 0.0], 1.0)
         g = make_quadratic(np.zeros((2, 2)), [0.0, -0.5], 0.0)
-        cert = check_convexity(ProblemInstance(f, g))
+        p = ProblemInstance(f, g)
+        cert = check_convexity(p)
         assert cert.verdict == VERDICT_CONVEX
         assert cert.path[-1]["step"] == 0
+        fb = check_flores_bazan(p)
+        assert (fb.verdict, fb.swapped, fb.certificate) == (VERDICT_CONVEX, False, None)
+        assert fb.conditions["matrix_dependence"]["dependent"] is True
+        result = cross_check(p)
+        assert (result.agree, result.flores_bazan_verdict, result.diagnostics) == (True, VERDICT_CONVEX, None)
 
     def test_homogeneous_pair_convex(self):
         f = make_quadratic(np.diag([1.0, 1.0]), np.zeros(2), 0.5)

@@ -17,6 +17,7 @@ from qrange import (
     make_quadratic,
     sample_range,
 )
+from qrange.range_oracle import _grid_side
 from conftest import annulus_cloud, disk_cloud
 
 
@@ -48,6 +49,12 @@ class TestDomainPoints:
         assert len(np.unique(pts[:, 0])) == 3
         corners = pts[np.all(np.abs(pts) == 1.0, axis=1)]
         assert corners.shape[0] == 8
+
+    def test_grid_side_is_the_least_side_that_holds_count(self):
+        for n in range(1, 7):
+            for count in range(1, 2001):
+                side = _grid_side(count, n)
+                assert (side - 1) ** n < count <= side**n, (count, n)
 
     def test_grid_mode_covers_requested_count(self):
         pts = domain_points(2, 1.0, 10, seed=0, mode=SampleMode.GRID)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from qrange import (
     construct_separation_witness,
     evaluate,
     exists_separating_affine_levels,
+    get_case,
     level_pair_separation,
     make_quadratic,
     null_space_basis,
@@ -86,6 +89,24 @@ class TestAffineSeparatesQuadratic:
         report = affine_separates_quadratic(f, AffineForm(np.array([0.0, 0.0, 1.0]), 0.0))
         assert not report.separates
         assert "gradient_in_range" in report.failed_conditions[+1]
+
+    @pytest.mark.parametrize(
+        ("a_mat", "c", "label"),
+        [
+            # f = 2 x1 x2 is linear on {x1 = -1}: the restricted form is zero,
+            # and the projected gradient lies outside its column space.
+            ([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], "projected_gradient_in_range"),
+            # c = 0 names no hyperplane.
+            ([[-1.0, 0.0], [0.0, 4.0]], [0.0, 0.0], "gradient_nonzero"),
+        ],
+        ids=["projected_gradient_outside_range", "zero_gradient"],
+    )
+    def test_one_failed_condition_fails_both_orientations(self, a_mat, c, label):
+        f = make_quadratic(a_mat, [0.0, 0.0], 0.0)
+        report = affine_separates_quadratic(f, AffineForm(np.array(c), 1.0))
+        assert not report.separates
+        assert report.failed_conditions == {+1: (label,), -1: (label,)}
+        assert not report.near_degenerate
 
     @pytest.mark.parametrize(
         ("a_mat", "a", "c", "c0", "message"),
@@ -258,6 +279,25 @@ class TestLevelPairSeparation:
         assert not rep.g_separates_f and not rep.f_separates_g
         assert rep.ratio_g_on_f is None
 
+    def test_zero_combined_gradient_neither_separates(self):
+        # g = 2 f with no linear terms: the level form -2 (f - 0) + (g - 1)
+        # is the constant -1, so no hyperplane splits either level set.
+        p = get_case("saddle_pair_homogeneous").instance
+        rep = level_pair_separation(p.f, p.g, 0.0, 1.0)
+        assert (rep.g_separates_f, rep.f_separates_g) == (False, False)
+        assert (rep.ratio_g_on_f, rep.ratio_f_on_g) == (2.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_levels_are_invalid_input(self, bad):
+        f = make_quadratic(np.diag([-1.0, 1.0]), [0.0, 0.0], 0.0)
+        g = make_quadratic(np.diag([-2.0, 2.0]), [2.0, -1.0], 0.0)
+        for levels in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(InvalidInstance, match="levels must be finite"):
+                level_pair_separation(f, g, *levels)
+        # The dimension check comes first.
+        with pytest.raises(DimensionMismatch):
+            level_pair_separation(f, make_quadratic(np.eye(3), np.zeros(3), 0.0), bad, 0.0)
+
     @pytest.mark.parametrize(
         ("draw", "levels", "answer"),
         [
@@ -327,6 +367,13 @@ class TestConstructSeparationWitness:
         assert not report.separates
         with pytest.raises(InvalidReport):
             construct_separation_witness(f, h, report)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_is_invalid_input(self, alpha):
+        f = hyperbola(-1.0)
+        h = AffineForm(np.array([1.0, -5.0]), 0.0)
+        with pytest.raises(InvalidInstance, match="levels must be finite"):
+            construct_separation_witness(f, h, affine_separates_quadratic(f, h), alpha=alpha)
 
     def test_random_separating_instances_have_valid_witnesses(self):
         rng = np.random.default_rng(29)

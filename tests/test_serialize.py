@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,13 @@ class TestCsvDigits:
     """format_csv_rows builds the digits in NumPy; each case compares it with format_float value by value."""
 
     def test_decade_boundaries_and_four_ulps_around_them(self):
+        # Seventeen digits of |x| round up to 10**k only if |x| lies less than
+        # 5e-18 (relative) below it; no double lies that close below a power
+        # of ten in the fixed-notation window, so no 17-digit integer carries.
+        for k in range(-4, 18):
+            power, nearest = Fraction(10) ** k, float(f"1e{k}")
+            below = nearest if nearest < power else float(np.nextafter(nearest, 0.0))
+            assert 1 - Fraction(below) / power > Fraction(5, 10**18), k
         values = [v for k in range(-5, 18) for v in _ulp_steps(float(f"1e{k}"), 4)]
         rows = _rows_of(values)
         assert format_csv_rows(rows) == _per_value_csv(rows)
