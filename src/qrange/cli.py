@@ -27,12 +27,11 @@ from .errors import (
     ConvergenceFailure,
     DegenerateCloud,
     InvalidReport,
-    IoFailure,
     QRangeError,
     RootFailure,
 )
 from .quadratic import ProblemInstance, ToleranceSet, load_problem
-from .serialize import canonical_json, format_float
+from .serialize import canonical_json, format_float, jsonable
 
 __all__ = ["main"]
 
@@ -41,6 +40,9 @@ EXIT_USAGE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_DISAGREEMENT = 3
 EXIT_INTERNAL = 4
+
+# The --tol-* overrides, named as ToleranceSet fields.
+_TOLERANCE_OVERRIDES = ("tol_eig", "tol_dep", "tol_rank", "tol_psd")
 
 _INTERNAL_ERRORS = (InvalidReport, RootFailure, ConvergenceFailure)
 
@@ -77,8 +79,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--output", "-o", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default=None, help="output format")
         if decides:
-            for name in ("tol-eig", "tol-dep", "tol-rank", "tol-psd"):
-                p.add_argument(f"--{name}", type=float, default=None, help=f"override {name.replace('-', '_')}")
+            for name in _TOLERANCE_OVERRIDES:
+                p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, help=f"override {name}")
 
     add_common(sub.add_parser("check", help="decide convexity of the joint range"))
     add_common(sub.add_parser("fb-check", help="decide via the direction criterion"))
@@ -110,7 +112,7 @@ def _build_parser() -> _Parser:
 def _apply_tolerances(p: ProblemInstance, args: argparse.Namespace) -> ProblemInstance:
     overrides = {
         field: getattr(args, field)
-        for field in ("tol_eig", "tol_dep", "tol_rank", "tol_psd")
+        for field in _TOLERANCE_OVERRIDES
         if getattr(args, field) is not None
     }
     if not overrides:
@@ -118,7 +120,7 @@ def _apply_tolerances(p: ProblemInstance, args: argparse.Namespace) -> ProblemIn
     return ProblemInstance(p.f, p.g, p.tolerances.replace(**overrides))
 
 
-def _render_text(obj: Any, indent: int = 0) -> list[str]:
+def _render_text(obj: dict[str, Any] | list[Any], indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(obj, dict):
@@ -129,15 +131,13 @@ def _render_text(obj: Any, indent: int = 0) -> list[str]:
                 lines.extend(_render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_scalar_text(value)}")
-    elif isinstance(obj, list):
+    else:
         for value in obj:
             if isinstance(value, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}- {_scalar_text(value)}")
-    else:
-        lines.append(f"{pad}{_scalar_text(obj)}")
     return lines
 
 
@@ -156,7 +156,7 @@ def _scalar_text(value: Any) -> str:
 def _render(doc: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
         return canonical_json(doc)
-    return "\n".join(_render_text(doc)) + "\n"
+    return "\n".join(_render_text(jsonable(doc))) + "\n"
 
 
 def _write(text: str, destination: str | None) -> None:
@@ -175,34 +175,27 @@ def _envelope(command: str, tolerances: dict[str, float], result: Any) -> dict[s
 def _check(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .convexity import check_convexity
 
-    return check_convexity(p).to_jsonable(), EXIT_OK
+    return check_convexity(p), EXIT_OK
 
 
 def _fb_check(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .convexity import check_flores_bazan
 
-    return check_flores_bazan(p).to_jsonable(), EXIT_OK
+    return check_flores_bazan(p), EXIT_OK
 
 
 def _cross_check(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .convexity import cross_check
 
     result = cross_check(p)
-    return result.to_jsonable(), EXIT_OK if result.agree else EXIT_DISAGREEMENT
+    return result, EXIT_OK if result.agree else EXIT_DISAGREEMENT
 
 
 def _separate(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .separation import level_pair_separation
 
     rep = level_pair_separation(p.f, p.g, args.alpha, args.beta, p.tolerances)
-    return {
-        "f_level": args.alpha,
-        "g_level": args.beta,
-        "g_separates_f": rep.g_separates_f,
-        "f_separates_g": rep.f_separates_g,
-        "ratio_g_on_f": rep.ratio_g_on_f,
-        "ratio_f_on_g": rep.ratio_f_on_g,
-    }, EXIT_OK
+    return {"f_level": args.alpha, "g_level": args.beta, **jsonable(rep)}, EXIT_OK
 
 
 def _witness(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
@@ -214,7 +207,7 @@ def _witness(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
         "verdict": cert.verdict,
         "f_level": cert.f_level,
         "g_level": cert.g_level,
-        "witness": cert.witness.to_jsonable() if cert.witness else None,
+        "witness": cert.witness,
         "verification": verification,
     }
     if cert.verdict == "NONCONVEX" and not verification["valid"]:
@@ -287,7 +280,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         doc = _envelope(
             "reproduce",
             ToleranceSet().to_dict(),
-            {"passed": passed, "rows": [row.to_jsonable() for row in rows]},
+            {"passed": passed, "rows": rows},
         )
         text = _render(doc, "json")
     else:

@@ -25,7 +25,7 @@ independent numerical second opinion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -65,15 +65,6 @@ class NonconvexityWitness:
     range_at_v: np.ndarray
     gap_point: np.ndarray
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "u": self.u.tolist(),
-            "v": self.v.tolist(),
-            "range_at_u": self.range_at_u.tolist(),
-            "range_at_v": self.range_at_v.tolist(),
-            "gap_point": self.gap_point.tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ConvexityCertificate:
@@ -96,18 +87,6 @@ class ConvexityCertificate:
     witness: NonconvexityWitness | None
     path: tuple[dict[str, Any], ...]
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict,
-            "swapped": self.swapped,
-            "pencil_ratio": self.pencil_ratio,
-            "orientation": self.orientation,
-            "f_level": self.f_level,
-            "g_level": self.g_level,
-            "witness": self.witness.to_jsonable() if self.witness else None,
-            "path": list(self.path),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class FBReport:
@@ -118,31 +97,17 @@ class FBReport:
     certificate: np.ndarray | None
     conditions: dict[str, Any]
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict,
-            "swapped": self.swapped,
-            "certificate": self.certificate.tolist() if self.certificate is not None else None,
-            "conditions": self.conditions,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class CrossCheckResult:
+    """Both verdicts on one reduction; ``certificate`` and ``fb_report`` are not printed."""
+
     agree: bool
     separation_verdict: str
     flores_bazan_verdict: str
-    certificate: ConvexityCertificate
-    fb_report: FBReport
+    certificate: ConvexityCertificate = field(metadata={"json": False})
+    fb_report: FBReport = field(metadata={"json": False})
     diagnostics: dict[str, Any] | None
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "agree": self.agree,
-            "separation_verdict": self.separation_verdict,
-            "flores_bazan_verdict": self.flores_bazan_verdict,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def check_convexity(p: ProblemInstance) -> ConvexityCertificate:

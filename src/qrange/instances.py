@@ -74,9 +74,6 @@ class SuiteRow:
     passed: bool
     detail: str
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"case": self.case, "check": self.check, "passed": self.passed, "detail": self.detail}
-
 
 def _quad(A, a, a0):
     return make_quadratic(np.asarray(A, dtype=float), np.asarray(a, dtype=float), a0)

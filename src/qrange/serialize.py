@@ -1,5 +1,10 @@
 """Canonical JSON and CSV formatting.
 
+A report prints its own fields: :func:`jsonable` turns a dataclass into the
+dict of its fields, in declaration order, less those declared with
+``field(metadata={"json": False})``.  It is the one place that converts
+arrays, tuples and NumPy scalars to plain JSON data.
+
 The machine-readable outputs are byte-stable: keys are emitted in sorted
 order, floats are printed with 17 significant digits (enough to round-trip a
 double), and non-finite values are rejected rather than written.
@@ -7,6 +12,7 @@ double), and non-finite values are rejected rather than written.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any
@@ -15,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = ["format_float", "format_csv_rows", "canonical_json"]
+__all__ = ["format_float", "format_csv_rows", "jsonable", "canonical_json"]
 
 
 def format_float(x: float) -> str:
@@ -71,22 +77,38 @@ def format_csv_rows(rows: np.ndarray) -> str:
     return csv_text(rows)
 
 
+def jsonable(obj: Any) -> Any:
+    """``obj`` as plain JSON data: dicts, lists, strings, numbers, booleans and ``None``.
+
+    A dataclass becomes the dict of its fields in declaration order, less
+    those whose metadata sets ``"json"`` to false; dicts, lists and tuples
+    are walked; arrays and NumPy scalars become their ``.tolist()``.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.metadata.get("json", True)}
+    if isinstance(obj, dict):
+        return {key: jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(item) for item in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
+
+
 def _write(obj: Any, out: list[str], indent: int) -> None:
     pad = "  " * indent
     child_pad = "  " * (indent + 1)
     if obj is None:
         out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
+    elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+    elif isinstance(obj, float):
+        out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out, indent)
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         if not obj:
             out.append("[]")
             return
@@ -114,8 +136,8 @@ def _write(obj: Any, out: list[str], indent: int) -> None:
 
 
 def canonical_json(obj: Any) -> str:
-    """Deterministic pretty JSON (sorted keys, 17-significant-digit floats)."""
+    """Deterministic pretty JSON (sorted keys, 17-significant-digit floats) of :func:`jsonable` ``(obj)``."""
     out: list[str] = []
-    _write(obj, out, 0)
+    _write(jsonable(obj), out, 0)
     out.append("\n")
     return "".join(out)

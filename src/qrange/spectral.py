@@ -206,20 +206,15 @@ def apply_pseudoinverse(s: SpectralData, w: np.ndarray, cutoff: float, thr: floa
     Computed spectrally as ``sum (q_i'w)^2 / eig_i`` over the column-space
     eigenpairs that ``_column_space`` keeps; ``None`` when ``w`` lies outside
     that column space.  (Intended for semidefinite ``M``, where the sign of
-    the result matches the sign of ``M``.)  While ``||q'w||^2`` stays below
-    ``cutoff * 2**1000`` no square can overflow, so it squares first; past
-    that bound each term divides before it squares, so a term that fits
-    never overflows on the way.  A sum that overflows is
-    :class:`InvalidInstance`: no margin can be measured against it.
+    the result matches the sign of ``M``.)  Each term divides before it
+    squares: a square can overflow, or underflow to zero, while its term
+    fits.  A sum that overflows is :class:`InvalidInstance`: no margin can be
+    measured against it.
     """
     Q, vals = _column_space(s, cutoff)
     coords = _project(Q, w, thr)
     if coords is None:
         return None
-    # Kept eigenvalues exceed cutoff, so every term is below ||coords||^2 / cutoff < 2**1000.
-    if np.vdot(coords, coords) < float(cutoff) * 2.0**1000:
-        return float((coords * coords / vals).sum())
-    # Past that bound, divide first: a square can overflow while its term fits.
     with np.errstate(over="ignore", invalid="ignore"):
         quad = float((coords / vals * coords).sum())
     if not math.isfinite(quad):

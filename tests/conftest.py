@@ -139,6 +139,31 @@ def differential_batch(seed: int, count: int) -> list[ProblemInstance]:
     return [random_instance(rng) for _ in range(count)]
 
 
+def singular_nonconvex_pair(rng: np.random.Generator) -> ProblemInstance:
+    """A NONCONVEX pair whose shared matrix is singular.
+
+    ``A`` has size ``n`` in [3, 6], rank in [2, n-1] and one negative
+    eigenvalue.  ``f`` has linear term ``a = A y``; ``g`` has matrix ``r A``
+    and linear term ``r a + c`` with ``c = A w`` and ``w'Aw < 0``.  So both
+    linear terms lie in the column space of ``A``, and ``A`` is positive
+    semidefinite on ``{c'x = 0}``.
+    """
+    n = int(rng.integers(3, 7))
+    rank = int(rng.integers(2, n))
+    negative = -float(rng.uniform(0.3, 2.0))
+    positive = rng.uniform(0.3, 2.0, size=rank - 1)
+    q = random_rotation(rng, n)
+    a_mat = (q * np.concatenate([[negative], positive, np.zeros(n - rank)])) @ q.T
+    # In eigen-coordinates, w'Aw = negative + sum(positive * z**2) <= negative / 2.
+    z = rng.uniform(-1.0, 1.0, size=rank - 1) * np.sqrt(-negative / (2.0 * (rank - 1) * positive))
+    w = q @ np.concatenate([[1.0], z, rng.uniform(-1.0, 1.0, size=n - rank)])
+    a_lin = a_mat @ rng.uniform(-1.5, 1.5, size=n)
+    r = float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]))
+    f = make_quadratic(a_mat, a_lin, float(rng.uniform(-3.0, 3.0)))
+    g = make_quadratic(r * a_mat, r * a_lin + a_mat @ w, float(rng.uniform(-3.0, 3.0)))
+    return ProblemInstance(f, g)
+
+
 # ---------------------------------------------------------------------------
 # invariance-transform generator
 
@@ -188,6 +213,17 @@ def disk_cloud() -> RangeSample:
     radius = np.sqrt(rng.uniform(0.0, 1.0, 20_000)) * 3.0
     pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
     return RangeSample(pts, 2, 3.0, pts.shape[0], 6, SampleMode.UNIFORM)
+
+
+def near_collinear_cloud() -> RangeSample:
+    """Seven points whose top edge holds (5, 1), 1e-15 above the chord from (1, 1-1e-15) to (9, 1-1e-15).
+
+    Quickhull splits the top chord at (5, 1), its farthest point, and keeps
+    it; the hull's post-pass drops it, since it lies within the collinearity
+    margin of the line through its neighbours.  Qhull drops it too.
+    """
+    pts = np.array([[0.0, 0.0], [10.0, 0.0], [1.0, 1.0 - 1e-15], [5.0, 1.0], [9.0, 1.0 - 1e-15], [5.0, 0.5], [3.0, 0.3]])
+    return RangeSample(pts, 2, 1.0, pts.shape[0], 0, SampleMode.UNIFORM)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,14 @@ from qrange import (
     verify_certificate,
 )
 from qrange import quadratic, separation, spectral
-from conftest import differential_batch, random_instance, random_symmetric, transformed_instance
+from qrange.serialize import jsonable
+from conftest import (
+    differential_batch,
+    random_instance,
+    random_symmetric,
+    singular_nonconvex_pair,
+    transformed_instance,
+)
 
 
 def saddle_pair() -> ProblemInstance:
@@ -178,7 +185,7 @@ class TestDecisionPath:
         assert steps == sorted(steps)
         assert cert.path[0]["check"] == "degenerate_screen"
         assert cert.path[-1]["check"] == "certificate_construction"
-        doc = cert.to_jsonable()
+        doc = jsonable(cert)
         assert doc["verdict"] == VERDICT_NONCONVEX
         assert isinstance(doc["path"], list)
 
@@ -257,7 +264,7 @@ def assert_levels_separate_in_the_analysed_direction(p, cert):
     certificate analysed the swapped pair.
     """
     rep = level_pair_separation(p.f, p.g, cert.f_level, cert.g_level, p.tolerances)
-    assert rep.f_separates_g if cert.swapped else rep.g_separates_f, cert.to_jsonable()
+    assert rep.f_separates_g if cert.swapped else rep.g_separates_f, jsonable(cert)
 
 
 class TestCheckAgreesWithSeparate:
@@ -271,6 +278,20 @@ class TestCheckAgreesWithSeparate:
             assert_levels_separate_in_the_analysed_direction(p, cert)
             checked += 1
         assert checked >= 50
+
+
+class TestSingularNonconvexPairs:
+    def test_certificates_verify_checkers_agree_and_levels_separate(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            p = singular_nonconvex_pair(rng)
+            assert np.linalg.matrix_rank(p.f.A) < p.n
+            result = cross_check(p)
+            assert result.agree, result.diagnostics
+            cert = result.certificate
+            assert cert.verdict == VERDICT_NONCONVEX, jsonable(cert)
+            assert verify_certificate(p, cert)["valid"]
+            assert_levels_separate_in_the_analysed_direction(p, cert)
 
 
 class TestInvarianceProperties:
@@ -730,7 +751,7 @@ class TestCrossCheck:
         assert result.agree
         assert result.separation_verdict == result.flores_bazan_verdict == VERDICT_NONCONVEX
         assert result.diagnostics is None
-        doc = result.to_jsonable()
+        doc = jsonable(result)
         assert doc["agree"] is True
 
 

@@ -3,6 +3,8 @@
 Every invocation below runs through :func:`qrange.cli.main` and must
 reproduce the recorded stdout byte for byte, with the recorded exit code.
 This turns "same behaviour" across refactors into a byte comparison.
+The ``*-text`` goldens pin the ``--format text`` renderer on one NONCONVEX
+run of each decision command.
 ``sample`` writes its CSVs into a fresh directory; its golden holds stdout
 with the output paths made relative to that directory, followed by the
 sha256 of each written CSV in ``sha256sum`` format.  One more golden pins the
@@ -45,6 +47,14 @@ EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 BATCH_SEED, BATCH_SIZE = 20240817, 500
 BATCH_DIGEST = GOLDEN_DIR / f"batch-{BATCH_SEED}-{BATCH_SIZE}.sha256"
 SAMPLE_CASE = "saddle_with_line_split"
+# One NONCONVEX run per decision command, repeated with --format text.
+TEXT_RUNS = (
+    "check-saddle_pair_dependent",
+    "fb-check-saddle_pair_dependent",
+    "cross-check-saddle_pair_dependent",
+    "witness-saddle_pair_dependent",
+    "separate-tilted_saddle_mutual--4_2",
+)
 DEFAULT_SAMPLE_CASE = "saddle_pair_dependent"
 OUT_DIR = "{out}"
 
@@ -59,6 +69,8 @@ def _invocations() -> dict[str, list[str]]:
             runs[f"separate-{case.name}-{lc.f_level:g}_{lc.g_level:g}"] = [
                 "separate", "--input", path, "--alpha", repr(lc.f_level), "--beta", repr(lc.g_level)
             ]
+    for name in TEXT_RUNS:
+        runs[f"{name}-text"] = [*runs[name], "--format", "text"]
     runs["reproduce-json"] = ["reproduce", "--format", "json"]
     path = str(REPO_ROOT / "instances" / f"{SAMPLE_CASE}.json")
     for mode in ("uniform", "grid"):
@@ -190,9 +202,9 @@ def _batch_digest() -> str:
         result = cross_check(p)
         docs.append(
             {
-                "cross_check": result.to_jsonable(),
-                "certificate": result.certificate.to_jsonable(),
-                "fb_report": result.fb_report.to_jsonable(),
+                "cross_check": result,
+                "certificate": result.certificate,
+                "fb_report": result.fb_report,
                 "verify_certificate": verify_certificate(p, result.certificate),
             }
         )

@@ -18,6 +18,7 @@ from qrange import (
     run_curated_suite,
     suite_passed,
 )
+from qrange.serialize import jsonable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 INSTANCE_DIR = REPO_ROOT / "instances"
@@ -74,7 +75,7 @@ class TestSuite:
 
     def test_rows_are_jsonable(self):
         row = run_curated_suite()[0]
-        doc = row.to_jsonable()
+        doc = jsonable(row)
         assert set(doc) == {"case", "check", "passed", "detail"}
 
     def test_single_case_evaluation(self):

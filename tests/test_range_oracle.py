@@ -18,7 +18,7 @@ from qrange import (
     sample_range,
 )
 from qrange.range_oracle import _grid_side
-from conftest import annulus_cloud, disk_cloud
+from conftest import annulus_cloud, disk_cloud, near_collinear_cloud
 
 
 def saddle_pair() -> ProblemInstance:
@@ -174,6 +174,11 @@ class TestDetectHoles:
         report = detect_holes(RangeSample(pts, 2, 1.0, pts.shape[0], 0, SampleMode.UNIFORM), 10)
         assert report.hull_vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
         assert np.signbit(report.hull_vertices[0]).tolist() == [zero_first, zero_first]
+
+    def test_near_collinear_quickhull_vertex_dropped(self):
+        report = detect_holes(near_collinear_cloud(), 10)
+        top = 1.0 - 1e-15
+        assert report.hull_vertices.tolist() == [[0.0, 0.0], [10.0, 0.0], [9.0, top], [1.0, top]]
 
     def test_reports_do_not_depend_on_the_layout_of_the_points(self):
         cloud = sample_range(saddle_pair(), 5.0, 20_000, seed=0)

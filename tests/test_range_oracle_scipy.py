@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qrange import RangeSample, SampleMode, detect_holes, get_case, sample_range
-from conftest import annulus_cloud, disk_cloud
+from conftest import annulus_cloud, disk_cloud, near_collinear_cloud
 
 pytest.importorskip("scipy")
 from scipy import ndimage  # noqa: E402
@@ -84,6 +84,10 @@ def test_synthetic_clouds_match_reference(cloud, cells):
     s = cloud()
     cell_diag = float(np.linalg.norm(np.ptp(s.points, axis=0) / 100))
     check_against_reference(s, 100, None if cells is None else cells * cell_diag)
+
+
+def test_near_collinear_quickhull_vertex_dropped_as_qhull_drops_it():
+    check_against_reference(near_collinear_cloud(), 10)
 
 
 def test_cloud_whose_prefilter_finds_two_points_matches_reference():

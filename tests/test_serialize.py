@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -14,7 +15,7 @@ from qrange._csvtext import _BLOCK_ROWS
 from qrange.errors import DimensionMismatch
 from qrange.quadratic import load_problem
 from qrange.range_oracle import RangeSample, SampleMode, emit_plot_data, sample_range
-from qrange.serialize import canonical_json, format_csv_rows, format_float
+from qrange.serialize import canonical_json, format_csv_rows, format_float, jsonable
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -229,3 +230,15 @@ class TestCanonicalJson:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             canonical_json({"x": float("nan")})
+
+    def test_dataclass_prints_its_fields_in_order_less_json_false(self):
+        @dataclasses.dataclass
+        class Report:
+            zeta: np.ndarray
+            alpha: tuple
+            hidden: object = dataclasses.field(metadata={"json": False})
+
+        doc = jsonable({"report": Report(np.array([1.0]), (np.int64(2), np.bool_(True)), object())})
+        assert doc == {"report": {"zeta": [1.0], "alpha": [2, True]}}
+        assert list(doc["report"]) == ["zeta", "alpha"]
+        assert [type(x) for x in doc["report"]["alpha"]] == [int, bool]

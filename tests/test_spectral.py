@@ -201,9 +201,14 @@ class TestApplyPseudoinverse:
         # (2**520)**2 overflows, but the term (2**520)**2 / 2**100 fits.
         assert pinv_form(np.diag([2.0**100, 1.0]), np.array([2.0**520, 0.0])) == 2.0**940
 
+    def test_term_whose_square_underflows_is_kept(self):
+        # (1e-170)**2 underflows to 0, but the terms 1e-190 and 4.5e-190 fit.
+        sd = eigh(np.diag([1e-150, 2e-150]))
+        w = np.array([1e-170, 3e-170])
+        assert apply_pseudoinverse(sd, w, 1e-160, 1e-300) == pytest.approx(5.5e-190, rel=1e-15, abs=0.0)
+
     def test_large_finite_term_keeps_its_bits(self):
-        # Past the bound that needs no check the sum is taken as before and
-        # kept, since it is finite.
+        # A sum near the top of the float range is kept, since it is finite.
         assert pinv_form(np.diag([1.0, 4.0]), np.array([2.0**490, 2.0**500])) == 2.0**980 + 2.0**998
 
 
