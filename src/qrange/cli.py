@@ -14,6 +14,13 @@ Exit codes: 0 success, 1 usage error, 2 invalid input, 3 cross-check
 disagreement, 4 internal invariant violation.  JSON output (the default for
 everything but ``reproduce``) is canonical and byte-stable for identical
 invocations; the effective tolerances are always echoed.
+
+Every command takes one path to its bytes.  Its handler in ``_COMMANDS``
+maps the loaded problem (``None`` for ``reproduce``, which reads no file)
+and the parsed arguments to ``(result, exit code)``; ``_run`` loads the
+problem, calls the handler, wraps a result that is not already text in the
+``{command, tolerances, result}`` envelope, renders it and writes it to
+``--output`` or stdout.
 """
 
 from __future__ import annotations
@@ -74,7 +81,9 @@ def _build_parser() -> _Parser:
         if reads_problem:
             p.add_argument("--input", "-i", required=True, help="problem JSON file")
         if csv_output:
-            p.add_argument("--output", "-o", required=True, type=_csv_base, help="CSV base path; the report goes to stdout")
+            p.add_argument("--output", "-o", dest="csv", metavar="OUTPUT", required=True, type=_csv_base,
+                           help="CSV base path; the report goes to stdout")
+            p.set_defaults(output=None)
         else:
             p.add_argument("--output", "-o", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default=None, help="output format")
@@ -110,14 +119,8 @@ def _build_parser() -> _Parser:
 
 
 def _apply_tolerances(p: ProblemInstance, args: argparse.Namespace) -> ProblemInstance:
-    overrides = {
-        field: getattr(args, field)
-        for field in _TOLERANCE_OVERRIDES
-        if getattr(args, field) is not None
-    }
-    if not overrides:
-        return p
-    return ProblemInstance(p.f, p.g, p.tolerances.replace(**overrides))
+    overrides = {name: v for name in _TOLERANCE_OVERRIDES if (v := getattr(args, name, None)) is not None}
+    return ProblemInstance(p.f, p.g, p.tolerances.replace(**overrides)) if overrides else p
 
 
 def _render_text(obj: dict[str, Any] | list[Any], indent: int = 0) -> list[str]:
@@ -151,25 +154,6 @@ def _scalar_text(value: Any) -> str:
     if isinstance(value, (dict, list)):
         return "{}" if isinstance(value, dict) else "[]"
     return str(value)
-
-
-def _render(doc: dict[str, Any], fmt: str) -> str:
-    if fmt == "json":
-        return canonical_json(doc)
-    return "\n".join(_render_text(jsonable(doc))) + "\n"
-
-
-def _write(text: str, destination: str | None) -> None:
-    """Write a command's report to ``destination``, or to stdout when there is none."""
-    if destination:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _envelope(command: str, tolerances: dict[str, float], result: Any) -> dict[str, Any]:
-    return {"command": command, "tolerances": tolerances, "result": result}
 
 
 def _check(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
@@ -210,40 +194,17 @@ def _witness(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
         "witness": cert.witness,
         "verification": verification,
     }
-    if cert.verdict == "NONCONVEX" and not verification["valid"]:
-        return result, EXIT_INTERNAL
-    return result, EXIT_OK
+    return result, EXIT_INTERNAL if cert.verdict == "NONCONVEX" and not verification["valid"] else EXIT_OK
 
 
-# The decision commands: each maps the loaded problem to its result and exit code.
-_DECISIONS = {
-    "check": _check,
-    "fb-check": _fb_check,
-    "cross-check": _cross_check,
-    "separate": _separate,
-    "witness": _witness,
-}
-
-
-def _cmd_decide(args: argparse.Namespace) -> int:
-    """Load the problem, apply the ``--tol-*`` overrides, run the command and emit its envelope."""
-    p = _apply_tolerances(load_problem(args.input), args)
-    result, code = _DECISIONS[args.command](p, args)
-    _write(_render(_envelope(args.command, p.tolerances.to_dict(), result), args.format or "json"), args.output)
-    return code
-
-
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _sample(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .range_oracle import SampleMode, detect_holes, emit_plot_data, sample_range
 
-    p = load_problem(args.input)
     box = args.box if args.box is not None else (5.0 if p.n <= 4 else 3.0)
-    mode = SampleMode(args.mode)
-    cloud = sample_range(p, box, args.samples, args.seed, mode)
-    degenerate_note = None
+    cloud = sample_range(p, box, args.samples, args.seed, SampleMode(args.mode))
     try:
         report = detect_holes(cloud, args.resolution, args.coverage_radius, args.min_cluster)
-        hole_doc: dict[str, Any] = {
+        holes: dict[str, Any] = {
             "suspected_nonconvex": report.suspected_nonconvex,
             "hole_cell_count": int(report.hole_cells.shape[0]),
             "largest_cluster": report.largest_cluster,
@@ -252,9 +213,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         }
     except DegenerateCloud as exc:
         report = None
-        degenerate_note = str(exc)
-        hole_doc = {"suspected_nonconvex": False, "degenerate_cloud": degenerate_note}
-    written = emit_plot_data(cloud, report, args.output)
+        holes = {"suspected_nonconvex": False, "degenerate_cloud": str(exc)}
     result = {
         "sample": {
             "dimension": cloud.dimension,
@@ -263,44 +222,58 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "seed": cloud.seed,
             "mode": cloud.mode.value,
         },
-        "holes": hole_doc,
-        "files": written,
+        "holes": holes,
+        "files": emit_plot_data(cloud, report, args.csv),
     }
-    # --output is the CSV base path, so the report goes to stdout.
-    _write(_render(_envelope("sample", p.tolerances.to_dict(), result), args.format or "json"), None)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
+def _reproduce(p: None, args: argparse.Namespace) -> tuple[Any, int]:
     from .instances import run_curated_suite, suite_passed
 
     rows = run_curated_suite()
     passed = suite_passed(rows)
+    code = EXIT_OK if passed else EXIT_INTERNAL
     if args.format == "json":
-        doc = _envelope(
-            "reproduce",
-            ToleranceSet().to_dict(),
-            {"passed": passed, "rows": rows},
-        )
-        text = _render(doc, "json")
-    else:
-        case_width = max(len(r.case) for r in rows)
-        check_width = max(len(r.check) for r in rows)
-        lines = [f"{'case':<{case_width}}  {'check':<{check_width}}  result  detail"]
-        for r in rows:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{r.case:<{case_width}}  {r.check:<{check_width}}  {status:<6}  {r.detail}")
-        lines.append(f"{'ALL PASS' if passed else 'FAILURES PRESENT'} ({sum(r.passed for r in rows)}/{len(rows)})")
-        text = "\n".join(lines) + "\n"
-    _write(text, args.output)
-    return EXIT_OK if passed else EXIT_INTERNAL
+        return {"passed": passed, "rows": rows}, code
+    case_width = max(len(r.case) for r in rows)
+    check_width = max(len(r.check) for r in rows)
+    lines = [f"{'case':<{case_width}}  {'check':<{check_width}}  result  detail"]
+    for r in rows:
+        status = "PASS" if r.passed else "FAIL"
+        lines.append(f"{r.case:<{case_width}}  {r.check:<{check_width}}  {status:<6}  {r.detail}")
+    lines.append(f"{'ALL PASS' if passed else 'FAILURES PRESENT'} ({sum(r.passed for r in rows)}/{len(rows)})")
+    return "\n".join(lines) + "\n", code
 
 
+# Every command's handler: (loaded problem or None, arguments) -> (result, exit code).
 _COMMANDS = {
-    **dict.fromkeys(_DECISIONS, _cmd_decide),
-    "sample": _cmd_sample,
-    "reproduce": _cmd_reproduce,
+    "check": _check,
+    "fb-check": _fb_check,
+    "cross-check": _cross_check,
+    "separate": _separate,
+    "witness": _witness,
+    "sample": _sample,
+    "reproduce": _reproduce,
 }
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Load the problem, run the command's handler, and write its report."""
+    p = _apply_tolerances(load_problem(args.input), args) if "input" in args else None
+    result, code = _COMMANDS[args.command](p, args)
+    if isinstance(result, str):
+        text = result
+    else:
+        tolerances = (p.tolerances if p is not None else ToleranceSet()).to_dict()
+        doc = {"command": args.command, "tolerances": tolerances, "result": result}
+        text = "\n".join(_render_text(jsonable(doc))) + "\n" if args.format == "text" else canonical_json(doc)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -309,7 +282,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise _UsageError("a command is required (try --help)")
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

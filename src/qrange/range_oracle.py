@@ -118,8 +118,10 @@ def domain_points(
     """The ``count`` deterministic domain points for these parameters."""
     if count < 1:
         raise InvalidInstance(f"sample count must be positive, got {count}")
-    if not (box > 0.0 and math.isfinite(box)):
-        raise InvalidInstance(f"box half-width must be positive and finite, got {box}")
+    if not (box > 0.0 and math.isfinite(2.0 * box)):
+        raise InvalidInstance(f"box half-width must be positive, with a finite width 2*box, got {box}")
+    if not 0 <= seed < 2**64:
+        raise InvalidInstance(f"sampling seed must lie in [0, 2**64), got {seed}")
 
     if mode == SampleMode.UNIFORM:
         parts = [

@@ -20,6 +20,7 @@ from qrange import (
     make_quadratic,
     save_problem,
 )
+from qrange import instances
 from qrange.cli import main
 from conftest import random_instance
 
@@ -392,6 +393,34 @@ class TestOtherCommands:
         assert doc["result"]["passed"] is True
         assert len(doc["result"]["rows"]) >= 30
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_reproduce_output_file(self, capsys, tmp_path, fmt):
+        code, out = TestCheckCommand.same_report_in_file(capsys, tmp_path, ["reproduce", "--format", fmt])
+        assert code == 0
+        if fmt == "text":
+            assert out.splitlines()[-1].startswith("ALL PASS (")
+        else:
+            assert json.loads(out)["result"]["passed"] is True
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_reproduce_failure_exits_4(self, capsys, monkeypatch, fmt):
+        rows = [
+            instances.SuiteRow("case_a", "verdict", True, "expected CONVEX, got CONVEX"),
+            instances.SuiteRow("case_b", "verdict", False, "expected NONCONVEX, got CONVEX"),
+        ]
+        monkeypatch.setattr(instances, "run_curated_suite", lambda: rows)
+        code, out, err = run_cli(capsys, "reproduce", "--format", fmt)
+        assert code == 4
+        assert err == ""
+        if fmt == "text":
+            lines = out.splitlines()
+            assert lines[-1] == "FAILURES PRESENT (1/2)"
+            assert lines[2].split() == ["case_b", "verdict", "FAIL", "expected", "NONCONVEX,", "got", "CONVEX"]
+        else:
+            doc = json.loads(out)["result"]
+            assert doc["passed"] is False
+            assert [row["passed"] for row in doc["rows"]] == [True, False]
+
     @pytest.mark.parametrize("flag", ["--tol-eig", "--tol-dep", "--tol-rank", "--tol-psd"])
     def test_reproduce_rejects_tolerance_override(self, capsys, flag):
         # reproduce always runs at the default tolerances, so an override would be ignored.
@@ -454,6 +483,18 @@ class TestDegenerateSampling:
         code, out, err = run_cli(
             capsys, "sample", "--input", CONVEX, "--output", str(tmp_path / "cloud"),
             "--samples", "2000", "--resolution", "40", f"{flag}={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("mode", ["uniform", "grid"])
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--seed", str(2**64)), ("--box", "1e308")])
+    def test_out_of_range_seed_or_box_is_invalid_input(self, capsys, tmp_path, mode, flag, value):
+        code, out, err = run_cli(
+            capsys, "sample", "--input", CONVEX, "--output", str(tmp_path / "cloud"),
+            "--samples", "100", "--resolution", "40", "--mode", mode, f"{flag}={value}",
         )
         assert code == 2
         assert out == ""

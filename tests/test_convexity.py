@@ -371,6 +371,10 @@ class TestInvarianceProperties:
     def with_weak_negative_eigenvalue(p, cert, x, tol=None):
         """``p`` with its oriented lone negative eigenvalue moved to ``-x * ||A||_2``.
 
+        ``||A||_2`` is measured before the change, the old negative eigenvalue
+        included: where that eigenvalue was the largest in magnitude, the moved
+        one exceeds ``x`` times the changed matrix's norm in magnitude.
+
         ``A`` is the analysed matrix and keeps its eigenvectors; the other
         matrix is rebuilt as ``ratio * A``, so the pencil stays dependent.
         Given tolerances ``tol``, both linear terms are also rebuilt as ``A``
@@ -621,6 +625,49 @@ class TestBoundaryFamilies:
                     assert verdict == VERDICT_NONCONVEX, (i, k)
                 elif verdict == VERDICT_NONCONVEX:
                     assert (f.n, check_convexity(q).orientation) == (2, -s), (i, k)
+
+    def test_lone_negative_eigenvalue(self, pairs):
+        # s*A's least eigenvalue moves to -k * tol_eig * ||A||_2, the norm
+        # being max |lam_i| over the other eigenvalues; A keeps its
+        # eigenvectors, both linear terms are kept, and g.A = ratio * A.
+        # Only k > 1 leaves a negative eigenvalue past the inertia threshold;
+        # k < -1 makes it a positive one.
+        for i, (p, cert) in enumerate(pairs):
+            f, g = (p.g, p.f) if cert.swapped else (p.f, p.g)
+            s, ratio = cert.orientation, cert.pencil_ratio
+            vals, vecs = np.linalg.eigh(s * f.A)
+            norm = np.abs(vals[1:]).max()
+            for k in self.K:
+                vals[0] = -k * p.tolerances.tol_eig * norm
+                a_mat = s * (vecs * vals) @ vecs.T
+                a_mat = (a_mat + a_mat.T) / 2.0
+                q = self.rebuilt(p, cert, make_quadratic(a_mat, f.a, f.a0), make_quadratic(ratio * a_mat, g.a, g.a0))
+                verdict = self.decided(q)
+                nonconvex_as_analysed = verdict == VERDICT_NONCONVEX and check_convexity(q).orientation == s
+                assert nonconvex_as_analysed == (k > 1), (i, k)
+
+    def test_linear_term_and_gradient_memberships(self):
+        # On singular NONCONVEX pairs, f.a or c moves off A's column space
+        # along a null vector u, to k times the rank test's threshold.  f.a
+        # moves with g.a following at ratio times the step, so c is kept;
+        # c moves through g.a alone (c is twice -ratio*f.a + g.a).
+        rng = np.random.default_rng(23)
+        for i in range(40):
+            p = singular_nonconvex_pair(rng)
+            cert = check_convexity(p)
+            assert not cert.swapped
+            f, g, ratio, tol = p.f, p.g, cert.pencil_ratio, p.tolerances.tol_rank
+            vals, vecs = np.linalg.eigh(f.A)
+            u = vecs[:, np.argmin(np.abs(vals))]
+            c_scale = 2.0 * (abs(ratio) * (_fro(f.A) + _fro(f.a)) + _fro(g.A) + _fro(g.a))
+            for k in self.K:
+                step = k * tol * (_fro(f.A) + _fro(f.a)) * u
+                moved_a = ProblemInstance(make_quadratic(f.A, f.a + step, f.a0),
+                                          make_quadratic(g.A, g.a + ratio * step, g.a0))
+                moved_c = ProblemInstance(f, make_quadratic(g.A, g.a + (k / 2.0) * tol * c_scale * u, g.a0))
+                expected = VERDICT_NONCONVEX if abs(k) < 1 else VERDICT_CONVEX
+                assert self.decided(moved_a) == expected, ("a", i, k)
+                assert self.decided(moved_c) == expected, ("c", i, k)
 
     def test_tolerance_mix(self, pairs):
         # Raised rank, semidefiniteness and eigenvalue tolerances, on draws of

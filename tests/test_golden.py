@@ -4,7 +4,8 @@ Every invocation below runs through :func:`qrange.cli.main` and must
 reproduce the recorded stdout byte for byte, with the recorded exit code.
 This turns "same behaviour" across refactors into a byte comparison.
 The ``*-text`` goldens pin the ``--format text`` renderer on one NONCONVEX
-run of each decision command.
+run of each decision command and on one ``sample`` run; ``reproduce-text``
+pins ``reproduce``'s default pass/fail table.
 ``sample`` writes its CSVs into a fresh directory; its golden holds stdout
 with the output paths made relative to that directory, followed by the
 sha256 of each written CSV in ``sha256sum`` format.  One more golden pins the
@@ -72,12 +73,14 @@ def _invocations() -> dict[str, list[str]]:
     for name in TEXT_RUNS:
         runs[f"{name}-text"] = [*runs[name], "--format", "text"]
     runs["reproduce-json"] = ["reproduce", "--format", "json"]
+    runs["reproduce-text"] = ["reproduce"]
     path = str(REPO_ROOT / "instances" / f"{SAMPLE_CASE}.json")
     for mode in ("uniform", "grid"):
         runs[f"sample-{mode}-{SAMPLE_CASE}"] = [
             "sample", "--input", path, "--mode", mode, "--samples", "2000",
             "--resolution", "40", "--output", f"{OUT_DIR}/cloud.csv",
         ]
+    runs[f"sample-uniform-{SAMPLE_CASE}-text"] = [*runs[f"sample-uniform-{SAMPLE_CASE}"], "--format", "text"]
     # The `sample` benchmark op: CLI defaults (1e5 samples, resolution 200).
     path = str(REPO_ROOT / "instances" / f"{DEFAULT_SAMPLE_CASE}.json")
     runs[f"sample-default-{DEFAULT_SAMPLE_CASE}"] = ["sample", "--input", path, "--output", f"{OUT_DIR}/cloud.csv"]
@@ -167,7 +170,7 @@ def test_decision_commands_match_golden_without_scipy():
 def test_sample_commands_match_golden_without_scipy(tmp_path):
     """A fresh interpreter reproduces the ``sample`` goldens, CSV bytes included, without SciPy."""
     names = sorted(name for name in INVOCATIONS if name.startswith("sample-"))
-    assert len(names) == 3
+    assert len(names) == 4
     dirs = {name: tmp_path / name for name in names}
     for d in dirs.values():
         d.mkdir()

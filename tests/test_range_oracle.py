@@ -66,6 +66,21 @@ class TestDomainPoints:
         with pytest.raises(InvalidInstance):
             domain_points(2, -1.0, 10, seed=0)
 
+    @pytest.mark.parametrize("mode", list(SampleMode))
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_philox_key_range_rejected(self, mode, seed):
+        with pytest.raises(InvalidInstance, match="seed"):
+            domain_points(2, 1.0, 10, seed, mode)
+
+    @pytest.mark.parametrize("mode", list(SampleMode))
+    def test_box_whose_width_overflows_rejected(self, mode):
+        with pytest.raises(InvalidInstance, match="2\\*box"):
+            domain_points(2, 1e308, 10, 0, mode)
+
+    def test_extreme_valid_seed_and_box_accepted(self):
+        pts = domain_points(2, 8.9e307, 10, 2**64 - 1)
+        assert pts.shape == (10, 2) and np.isfinite(pts).all()
+
 
 class TestSampleRange:
     def test_shape_and_metadata(self):
