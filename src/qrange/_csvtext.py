@@ -1,25 +1,30 @@
-"""The digit engine behind :func:`qrange.serialize.format_csv_rows`.
+"""The digit engine behind :func:`qrange.serialize.csv_row_blocks`.
 
 It prints float64 values exactly as ``format(x, ".17g")`` does, plus the
 ``.0`` that :func:`~qrange.serialize.format_float` appends, with NumPy
-building the 17 digits of a whole block at once; how and why that is exact
-is set out in :func:`~qrange.serialize.format_csv_rows`.  It lives apart from
-:mod:`qrange.serialize` so that the commands that write no CSV do not compile
-it; its tables are built on first use.
+building the 17 digits of a whole block of rows at once; how and why that is
+exact is set out in :func:`~qrange.serialize.format_csv_rows`.  Its one
+generator yields the CSV lines as ASCII bytes, one block of rows at a time,
+so a caller can write each block out before the next is built.  It lives
+apart from :mod:`qrange.serialize` so that the commands that write no CSV do
+not compile it; its tables are built on first use.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 import numpy as np
 
 from .serialize import format_float
 
-__all__ = ["csv_text"]
+__all__ = ["csv_blocks"]
 
-# Rows per block: a block's temporaries (a few MB) stay in cache.
-_BLOCK_ROWS = 8192
+# Rows per block: a block's temporaries (3.3 MB, mostly the indices that
+# np.compress makes of its mask), not a file's size, bound the memory that
+# writing a CSV file takes.
+_BLOCK_ROWS = 4096
 # Each value gets a 48-byte slot of six little-endian 8-byte words:
 #   word 0    pad, "-", "0", ".", "0", "0", "0", D0 (the leading digit)
 #   words 1-4 ".", D1, ".", D2, ..., ".", D16 (one 4-digit group per word)
@@ -33,7 +38,7 @@ _SKIP = 2 * 21 * 17  # the all-False mask row: a row printed value by value
 
 @functools.cache
 def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The power, digit-group, last-digit and mask tables that :func:`csv_text` reads."""
+    """The power, digit-group, last-digit and mask tables that :func:`_format_block` reads."""
     pow10 = np.array([float(10**j) for j in range(23)])  # exact up to 10**22
     powers = np.stack([pow10, *_split(pow10)])
     digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
@@ -80,7 +85,7 @@ def _scaled(a: np.ndarray, j: np.ndarray, powers: np.ndarray) -> tuple[np.ndarra
     return hi, a_lo * p_lo - (((hi - a_hi * p_hi) - a_lo * p_hi) - a_hi * p_lo)
 
 
-def _format_block(block: np.ndarray) -> str:
+def _format_block(block: np.ndarray) -> bytes:
     powers, text, last, masks = _csv_tables()
     x = block.ravel()
     a = np.abs(x)
@@ -115,19 +120,20 @@ def _format_block(block: np.ndarray) -> str:
     skipped = np.flatnonzero(~(plain[0::2] & plain[1::2]))
     key.reshape(-1, 2)[skipped] = _SKIP
     mask = masks[key]
-    body = np.compress(mask.ravel(), slots.view(np.uint8).ravel()).tobytes().decode("ascii")
+    body = np.compress(mask.ravel(), slots.view(np.uint8).ravel()).tobytes()
     if not skipped.size:
         return body
     # A skipped row's mask is empty, so its text goes where the rows before it end.
     starts = np.cumsum(mask.reshape(len(block), -1).sum(axis=1))[skipped]
     pieces, done = [], 0
     for start, (first, second) in zip(starts.tolist(), block[skipped].tolist()):
-        pieces += [body[done:start], f"{format_float(first)},{format_float(second)}\n"]
+        pieces += [body[done:start], f"{format_float(first)},{format_float(second)}\n".encode("ascii")]
         done = start
     pieces.append(body[done:])
-    return "".join(pieces)
+    return b"".join(pieces)
 
 
-def csv_text(rows: np.ndarray) -> str:
-    """The CSV lines of validated, finite ``(m, 2)`` float64 ``rows``, one block of rows at a time."""
-    return "".join([_format_block(rows[s : s + _BLOCK_ROWS]) for s in range(0, len(rows), _BLOCK_ROWS)])
+def csv_blocks(rows: np.ndarray) -> Iterator[bytes]:
+    """The CSV lines of validated, finite ``(m, 2)`` float64 ``rows`` as ASCII bytes, one block of rows at a time."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        yield _format_block(rows[start : start + _BLOCK_ROWS])

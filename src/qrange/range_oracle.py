@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateCloud, InvalidInstance, IoFailure
 from .quadratic import ProblemInstance, evaluate_many
-from .serialize import format_csv_rows
+from .serialize import csv_row_blocks
 
 __all__ = [
     "SampleMode",
@@ -227,6 +227,17 @@ def _convex_hull(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
     return np.roll(hull, -int(np.lexsort((hull[:, 1], hull[:, 0]))[0]), axis=0)
 
 
+def _cell_keys(xy: np.ndarray, lo: np.ndarray, cell: np.ndarray, res: int) -> np.ndarray:
+    """The raster cell ``i * res + j`` of each point, clamped to the raster, built in one buffer."""
+    ij = xy - lo[:, None]
+    ij /= cell[:, None]
+    np.floor(ij, out=ij)
+    np.clip(ij, 0, res - 1, out=ij)
+    ij[0] *= res  # exact: the cells number fewer than 2**53
+    ij[0] += ij[1]
+    return ij[0].astype(np.intp)
+
+
 def _uncovered(
     xy: np.ndarray, scale: float, lo: np.ndarray, cell: np.ndarray, centers: np.ndarray, inside: np.ndarray, radius: float
 ) -> np.ndarray:
@@ -245,8 +256,7 @@ def _uncovered(
     the cost is bounded by its size, not by ``radius`` or the aspect ratio.
     """
     res = inside.shape[0]
-    ij = np.clip(np.floor((xy - lo[:, None]) / cell[:, None]), 0, res - 1).astype(np.intp)
-    key = ij[0] * res + ij[1]
+    key = _cell_keys(xy, lo, cell, res)
     bx, by = xy[:, np.argsort(key)]
     counts = np.bincount(key, minlength=res * res)
     start = np.zeros(res * res + 1, dtype=np.intp)
@@ -413,31 +423,30 @@ def detect_holes(
     )
 
 
-def _write_csv(path: str, body: str) -> None:
-    """Write the ``fx,gx`` header, then the rows :func:`format_csv_rows` built, to one handle."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("fx,gx\n")
-            fh.write(body)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path!r}: {exc}") from exc
-
-
 def emit_plot_data(s: RangeSample, report: HoleReport | None, path: str) -> list[str]:
     """Write the cloud (and hull/hole sidecars) as CSV files.
 
     ``path`` names the sample CSV; sidecars take ``_hull`` / ``_holes``
     suffixes before the extension.  Returns the written paths.  Values are
-    printed as :func:`~qrange.serialize.format_float` prints them.  Every
-    file's rows are formatted before any file is opened, so a non-finite
-    value raises :class:`ValueError`, and points that are not an ``(m, 2)``
-    float64 array raise :class:`DimensionMismatch`, leaving no file behind.
+    printed as :func:`~qrange.serialize.format_float` prints them, and each
+    file is written as its ``fx,gx`` header, then its rows, one block of
+    rows at a time.  Every file's rows are validated before any file is
+    opened, so a non-finite value raises :class:`ValueError`, and points
+    that are not an ``(m, 2)`` float64 array raise
+    :class:`DimensionMismatch`, leaving no file behind.  A file that cannot
+    be written raises :class:`IoFailure`; the files written before it, and
+    what of it was written, stay.
     """
     root, ext = (path[:-4], path[-4:]) if path.lower().endswith(".csv") else (path, ".csv")
-    bodies = {root + ext: format_csv_rows(s.points)}
+    files = {root + ext: csv_row_blocks(s.points)}
     if report is not None:
-        bodies[f"{root}_hull{ext}"] = format_csv_rows(report.hull_vertices)
-        bodies[f"{root}_holes{ext}"] = format_csv_rows(report.hole_cells)
-    for name, body in bodies.items():
-        _write_csv(name, body)
-    return list(bodies)
+        files[f"{root}_hull{ext}"] = csv_row_blocks(report.hull_vertices)
+        files[f"{root}_holes{ext}"] = csv_row_blocks(report.hole_cells)
+    for name, blocks in files.items():
+        try:
+            with open(name, "wb") as fh:
+                fh.write(b"fx,gx\n")
+                fh.writelines(blocks)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {name!r}: {exc}") from exc
+    return list(files)

@@ -15,13 +15,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = ["format_float", "format_csv_rows", "jsonable", "canonical_json"]
+__all__ = ["format_float", "format_csv_rows", "csv_row_blocks", "jsonable", "canonical_json"]
 
 
 def format_float(x: float) -> str:
@@ -42,7 +43,7 @@ def format_csv_rows(rows: np.ndarray) -> str:
     exponent ``k`` lies in [-4, 16], that is for ``1e-4 <= |x| < 1e17`` and
     for ``±0``; it round-trips, so the integral values in that window are the
     ones it prints without a point, and those get ``.0``.  NumPy builds that
-    text here, in blocks of 8192 rows:
+    text here, in blocks of 4096 rows:
 
     * ``k`` starts as ``floor(log10|x|)`` and moves by one wherever the exact
       product ``|x|·10**(16-k)`` falls outside ``[1e16, 1e17)``.
@@ -60,11 +61,20 @@ def format_csv_rows(rows: np.ndarray) -> str:
       sign, the point, the digits without trailing zeros and the separator.
 
     A row holding a value outside the window (exponent form) is printed
-    value by value with :func:`format_float`.
+    value by value with :func:`format_float`.  The text is the blocks of
+    :func:`csv_row_blocks` joined, and raises as that does.
+    """
+    return b"".join(csv_row_blocks(rows)).decode("ascii")
 
-    Anything but an ``(m, 2)`` float64 array raises :class:`DimensionMismatch`.
-    Every value is checked before any text is built, so a non-finite value
-    raises the same :class:`ValueError` as :func:`format_float`.
+
+def csv_row_blocks(rows: np.ndarray) -> Iterator[bytes]:
+    """Check ``rows``, then return their CSV lines as ASCII bytes, one block of rows at a time.
+
+    The lines are those of :func:`format_csv_rows`.  Anything but an
+    ``(m, 2)`` float64 array raises :class:`DimensionMismatch`, and a
+    non-finite value raises the same :class:`ValueError` as
+    :func:`format_float`; both checks run when this is called, before any
+    block is built.
     """
     if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2 and rows.shape[1] == 2):
         got = f"{rows.dtype} array of shape {rows.shape}" if isinstance(rows, np.ndarray) else type(rows).__name__
@@ -72,9 +82,9 @@ def format_csv_rows(rows: np.ndarray) -> str:
     finite = np.isfinite(rows)
     if not finite.all():
         raise ValueError(f"cannot serialize non-finite value {float(rows[~finite][0])!r}")
-    from ._csvtext import csv_text  # compiled only by the commands that write CSV
+    from ._csvtext import csv_blocks  # compiled only by the commands that write CSV
 
-    return csv_text(rows)
+    return csv_blocks(rows)
 
 
 def jsonable(obj: Any) -> Any:

@@ -362,6 +362,15 @@ class TestOtherCommands:
         assert "usage error" in err and "names no file" in err
         assert [p.name for p in tmp_path.rglob("*")] == ["out"]
 
+    def test_sample_into_a_missing_directory_is_invalid_input(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "c.csv")
+        code, out, err = run_cli(
+            capsys, "sample", "--input", SPLIT, "--output", target, "--samples", "2000", "--resolution", "20"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"invalid input: cannot write {target!r}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_sample_help_shows_output_as_the_required_csv_base_path(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--help"])

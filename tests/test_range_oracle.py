@@ -2,23 +2,33 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qrange import (
     DegenerateCloud,
+    HoleReport,
     InvalidInstance,
+    IoFailure,
     ProblemInstance,
     RangeSample,
     SampleMode,
     detect_holes,
     domain_points,
     emit_plot_data,
+    load_problem,
     make_quadratic,
     sample_range,
 )
-from qrange.range_oracle import _grid_side
+from qrange._csvtext import _BLOCK_ROWS
+from qrange.range_oracle import _cell_keys, _grid_side
+from qrange.serialize import format_csv_rows
 from conftest import annulus_cloud, disk_cloud, near_collinear_cloud
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def saddle_pair() -> ProblemInstance:
@@ -223,6 +233,15 @@ class TestDetectHoles:
         assert np.array_equal(report.hull_vertices, np.ldexp(base.hull_vertices, k))
         assert report.coverage_radius == np.ldexp(base.coverage_radius, k)
 
+    @pytest.mark.parametrize("res", [2, 200, 4097])
+    def test_cell_keys_are_the_clamped_floor_of_each_point(self, res):
+        rng = np.random.default_rng(res)
+        xy = rng.uniform(-1.0, 1.0, (2, 5000)) * np.array([[1e-3], [1e3]])
+        lo, hi = xy.min(axis=1), xy.max(axis=1)
+        cell = (hi - lo) / res
+        ij = np.clip(np.floor((xy - lo[:, None]) / cell[:, None]), 0, res - 1).astype(np.intp)
+        assert np.array_equal(_cell_keys(xy, lo, cell, res), ij[0] * res + ij[1])
+
 
 class TestEmitPlotData:
     def test_files_written_and_parse(self, tmp_path):
@@ -252,3 +271,35 @@ class TestEmitPlotData:
         assert written == [str(tmp_path / "bare.csv")]
         assert not (tmp_path / "bare_hull.csv").exists()
         assert not (tmp_path / "bare_holes.csv").exists()
+
+    def test_files_are_the_header_and_format_csv_rows_across_block_seams(self, tmp_path):
+        points = np.random.default_rng(6).uniform(-1e3, 1e3, (2 * _BLOCK_ROWS + 5, 2))
+        # rows printed value by value: both sides of the first block seam, and the last
+        for at in (_BLOCK_ROWS - 1, _BLOCK_ROWS, len(points) - 1):
+            points[at] = [1e-9, -1e20]
+        hull = points[[0, _BLOCK_ROWS, -1]]
+        report = HoleReport(False, np.empty((0, 2)), hull, 2, 1.0, 0)
+        cloud = RangeSample(points, 2, 1.0, len(points), 0, SampleMode.UNIFORM)
+        written = emit_plot_data(cloud, report, str(tmp_path / "cloud.csv"))
+        for name, rows in zip(written, (points, hull, report.hole_cells), strict=True):
+            assert Path(name).read_bytes() == b"fx,gx\n" + format_csv_rows(rows).encode("ascii"), name
+        assert Path(written[2]).read_bytes() == b"fx,gx\n"
+
+    def test_missing_directory_is_an_io_failure(self, tmp_path):
+        s = sample_range(saddle_pair(), 5.0, 100, seed=4)
+        with pytest.raises(IoFailure, match="^cannot write "):
+            emit_plot_data(s, None, str(tmp_path / "missing" / "cloud.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writing_holds_less_than_the_file_it_writes(self, tmp_path):
+        # NumPy reports its buffers to tracemalloc, so the peak is deterministic.
+        cloud = sample_range(load_problem(str(INSTANCES / "saddle_pair_dependent.json")), 5.0, 100_000, 0)
+        format_csv_rows(np.zeros((1, 2)))  # the digit tables are built on first use
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            emit_plot_data(cloud, None, str(tmp_path / "cloud.csv"))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "cloud.csv").stat().st_size
