@@ -21,10 +21,15 @@ from .serialize import format_float
 
 __all__ = ["csv_blocks"]
 
-# Rows per block: a block's temporaries (3.3 MB, mostly the indices that
+# Rows per block: a block's temporaries (1.6 MB, mostly the indices that
 # np.compress makes of its mask), not a file's size, bound the memory that
-# writing a CSV file takes.
-_BLOCK_ROWS = 4096
+# writing a CSV file takes.  At 4096 rows they are 3.3 MB, more than glibc's
+# trim threshold (twice the largest mmapped chunk freed so far, here the
+# 1.5 MiB scaled cloud that hole detection frees), so each block's pages went
+# back to the OS and were faulted in again: a default `sample` took 26.8k
+# minor faults and 281 ms, against 7.7k and 225 ms at 2048 rows (medians of
+# 20 runs on a shared 2-core VM).
+_BLOCK_ROWS = 2048
 # Each value gets a 48-byte slot of six little-endian 8-byte words:
 #   word 0    pad, "-", "0", ".", "0", "0", "0", D0 (the leading digit)
 #   words 1-4 ".", D1, ".", D2, ..., ".", D16 (one 4-digit group per word)

@@ -7,23 +7,32 @@ false-negative modes (documented, not worked around): holes thinner than the
 raster, holes outside the sampled box's image, and ranges whose interesting
 geometry is dwarfed by the image of large ``|x|``.
 
-Hole detection uses NumPy only, and works on contiguous columns: the cloud
-is built with its ``f`` and ``g`` columns contiguous, and detection copies it
-once, scaled, into two contiguous rows whatever its layout, so every pass over
-``f`` or ``g`` reads memory in order.  The hull is an Akl–Toussaint prefilter
-followed by quickhull; its vertices run counter-clockwise from the
-lexicographically smallest one (least ``f``, then least ``g``), and a vertex
-closer than ``_COLLINEAR`` (3e-15) times the cloud's largest absolute
-coordinate to the line through its two neighbours is dropped, as Qhull merges
-such near-collinear vertices.  Coverage sorts the points once by raster cell
-and decides each cell center from cells that lie wholly inside the coverage
-radius, or else from exact distances to the points of the cells the radius
-reaches; clusters are 4-connected runs of hole cells.
+The cloud is generated and evaluated in blocks of 4096 domain points, so
+the domain points are never whole and the values do not depend on how many
+threads BLAS runs.  Hole detection uses NumPy only, and works on contiguous
+columns: the cloud is built with its ``f`` and ``g`` columns contiguous, and
+detection copies it once, scaled, into two contiguous rows whatever its
+layout, so every pass over ``f`` or ``g`` reads memory in order.  Its other
+passes over the whole cloud (the hull's prefilter and chord tests, the cell
+keys) run on blocks of 4096 points, and the cell sort reorders the scaled
+copy in place, one row at a time, so detection makes no second copy of the
+cloud but LAPACK's in the SVD.
+
+The hull is an Akl–Toussaint prefilter followed by quickhull; its vertices
+run counter-clockwise from the lexicographically smallest one (least ``f``,
+then least ``g``), and a vertex closer than ``_COLLINEAR`` (3e-15) times the
+cloud's largest absolute coordinate to the line through its two neighbours
+is dropped, as Qhull merges such near-collinear vertices.  Coverage sorts
+the points once by raster cell and decides each cell center from cells that
+lie wholly inside the coverage radius, or else from exact distances to the
+points of the cells the radius reaches; clusters are 4-connected runs of
+hole cells.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,7 +53,9 @@ __all__ = [
 ]
 
 # Points are generated in fixed-size blocks, each from its own
-# counter-based generator keyed by (seed, block index).
+# counter-based generator keyed by (seed, block index), so the size is part
+# of the sampled cloud.  The points are evaluated, and detection's passes
+# over the cloud run, in blocks of the same size.
 _BLOCK = 4096
 
 # A hull vertex closer than this, times the cloud's largest absolute
@@ -108,6 +119,42 @@ def _grid_side(count: int, n: int) -> int:
     return side
 
 
+def _domain_blocks(n: int, box: float, count: int, seed: int, mode: SampleMode) -> Iterator[np.ndarray]:
+    """Check the sampling parameters, then yield the domain points in blocks of ``_BLOCK`` rows.
+
+    A lone last row joins the block before it: BLAS evaluates a one-row
+    block with a dot product, which rounds differently from the
+    matrix-vector kernel that evaluates every other row.
+    """
+    if count < 1:
+        raise InvalidInstance(f"sample count must be positive, got {count}")
+    if not (box > 0.0 and math.isfinite(2.0 * box)):
+        raise InvalidInstance(f"box half-width must be positive, with a finite width 2*box, got {box}")
+    if not 0 <= seed < 2**64:
+        raise InvalidInstance(f"sampling seed must lie in [0, 2**64), got {seed}")
+    starts = list(range(0, count, _BLOCK))
+    if count % _BLOCK == 1 and len(starts) > 1:
+        del starts[-1]
+    if mode == SampleMode.UNIFORM:
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            blocks = range(start // _BLOCK, -(-stop // _BLOCK))
+            return np.concatenate([_uniform_block(seed, b, n, box, min(_BLOCK, stop - b * _BLOCK)) for b in blocks])
+
+    else:
+        side = _grid_side(count, n)
+        axis = np.linspace(-box, box, side) if side > 1 else np.array([0.0])
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            idx = np.arange(start, stop)
+            coords = np.empty((idx.size, n))
+            for k in range(n):
+                coords[:, k] = axis[(idx // side ** (n - 1 - k)) % side]
+            return coords
+
+    return (rows(start, stop) for start, stop in zip(starts, [*starts[1:], count]))
+
+
 def domain_points(
     n: int,
     box: float,
@@ -116,27 +163,7 @@ def domain_points(
     mode: SampleMode = SampleMode.UNIFORM,
 ) -> np.ndarray:
     """The ``count`` deterministic domain points for these parameters."""
-    if count < 1:
-        raise InvalidInstance(f"sample count must be positive, got {count}")
-    if not (box > 0.0 and math.isfinite(2.0 * box)):
-        raise InvalidInstance(f"box half-width must be positive, with a finite width 2*box, got {box}")
-    if not 0 <= seed < 2**64:
-        raise InvalidInstance(f"sampling seed must lie in [0, 2**64), got {seed}")
-
-    if mode == SampleMode.UNIFORM:
-        parts = [
-            _uniform_block(seed, block, n, box, min(_BLOCK, count - block * _BLOCK))
-            for block in range(-(-count // _BLOCK))
-        ]
-        return np.concatenate(parts, axis=0)
-
-    side = _grid_side(count, n)
-    axis = np.linspace(-box, box, side) if side > 1 else np.array([0.0])
-    idx = np.arange(count)
-    coords = np.empty((count, n))
-    for k in range(n):
-        coords[:, k] = axis[(idx // side ** (n - 1 - k)) % side]
-    return coords
+    return np.concatenate(list(_domain_blocks(n, box, count, seed, mode)), axis=0)
 
 
 def sample_range(
@@ -148,14 +175,22 @@ def sample_range(
 ) -> RangeSample:
     """Map ``count`` deterministic domain points through ``(f, g)``.
 
-    Raises :class:`InvalidInstance` when a value overflows to a non-finite
-    float: no hull or raster can be built from such a cloud.
+    The points are generated and evaluated one block at a time, so the
+    values do not depend on how many threads BLAS runs.  Raises
+    :class:`InvalidInstance` when a value overflows to a non-finite float: no
+    hull or raster can be built from such a cloud.
     """
-    X = domain_points(p.n, box, count, seed, mode)
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns = np.stack([evaluate_many(p.f, X), evaluate_many(p.g, X)])
-    if not np.isfinite(columns).all():
-        raise InvalidInstance(f"sampled range values overflow the float range on the box of half-width {box}")
+    blocks = _domain_blocks(p.n, box, count, seed, mode)
+    columns = np.empty((2, count))
+    start = 0
+    for X in blocks:
+        stop = start + X.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns[0, start:stop] = evaluate_many(p.f, X)
+            columns[1, start:stop] = evaluate_many(p.g, X)
+        if not np.isfinite(columns[:, start:stop]).all():
+            raise InvalidInstance(f"sampled range values overflow the float range on the box of half-width {box}")
+        start = stop
     columns.setflags(write=False)
     # The (m, 2) points keep their f and g columns contiguous.
     return RangeSample(columns.T, p.n, float(box), int(count), int(seed), mode)
@@ -179,9 +214,12 @@ def _convex_hull(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
     poly = poly[np.any(poly != np.roll(poly, 1, axis=0), axis=1)]
     candidates = np.arange(x.size)
     if poly.shape[0] >= 3:
+        edges = [(px, py, dx, dy, tau * math.hypot(dx, dy)) for (px, py), (dx, dy) in zip(poly, np.roll(poly, -1, axis=0) - poly)]
         outer = np.zeros(x.size, dtype=bool)
-        for (px, py), (dx, dy) in zip(poly, np.roll(poly, -1, axis=0) - poly):
-            outer |= dx * (y - py) - dy * (x - px) <= tau * math.hypot(dx, dy)
+        for start in range(0, x.size, _BLOCK):
+            bx, by, out = x[start : start + _BLOCK], y[start : start + _BLOCK], outer[start : start + _BLOCK]
+            for px, py, dx, dy, h in edges:
+                out |= dx * (by - py) - dy * (bx - px) <= h
         candidates = np.flatnonzero(outer)
     # The lexicographically least and greatest candidates; among equal
     # points, the first and the last, as a stable sort would order them.
@@ -203,10 +241,15 @@ def _convex_hull(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
                 continue
             p, q, c = item
             px, py, dx, dy = x[p], y[p], x[q] - x[p], y[q] - y[p]
-            outside = dy * (x[c] - px) - dx * (y[c] - py)
-            keep = outside > tau * math.hypot(dx, dy)
-            if keep.any():
-                c, outside = c[keep], outside[keep]
+            h = tau * math.hypot(dx, dy)
+            kept: list = []
+            for start in range(0, c.size, _BLOCK):
+                cb = c[start : start + _BLOCK]
+                outside = dy * (x[cb] - px) - dx * (y[cb] - py)
+                keep = outside > h
+                kept.append((cb[keep], outside[keep]))
+            c, outside = (np.concatenate(part) for part in zip(*kept))
+            if c.size:
                 m = int(c[np.argmax(outside)])
                 stack += [(m, q, c), m, (p, m, c)]
         return out
@@ -243,9 +286,10 @@ def _uncovered(
 ) -> np.ndarray:
     """Which ``inside`` raster centers lie farther than ``radius`` from every point.
 
-    ``xy`` holds the points' coordinates as two contiguous rows, ``scale`` is
-    their largest absolute value, and ``centers`` holds the raster's center
-    coordinates, ``x`` by row index and ``y`` by column index.
+    ``xy`` holds the points' coordinates as two contiguous rows, which are
+    sorted by raster cell in place; ``scale`` is their largest absolute
+    value, and ``centers`` holds the raster's center coordinates, ``x`` by
+    row index and ``y`` by column index.
 
     Decides what a nearest-neighbour query does: a center is covered when
     some point has ``sqrt(dx*dx + dy*dy) <= radius``.  A center is covered
@@ -256,9 +300,16 @@ def _uncovered(
     the cost is bounded by its size, not by ``radius`` or the aspect ratio.
     """
     res = inside.shape[0]
-    key = _cell_keys(xy, lo, cell, res)
-    bx, by = xy[:, np.argsort(key)]
+    key = np.empty(xy.shape[1], dtype=np.intp)
+    for start in range(0, key.size, _BLOCK):
+        key[start : start + _BLOCK] = _cell_keys(xy[:, start : start + _BLOCK], lo, cell, res)
     counts = np.bincount(key, minlength=res * res)
+    order = np.argsort(key)
+    del key
+    for row in xy:
+        row[:] = row[order]
+    del order
+    bx, by = xy
     start = np.zeros(res * res + 1, dtype=np.intp)
     np.cumsum(counts, out=start[1:])
     occupied = np.zeros((res + 1, res + 1), dtype=np.intp)
@@ -366,12 +417,15 @@ def detect_holes(
     # and cross products neither overflow nor underflow at extreme scales.
     # The scaled cloud is one copy with its f and g columns as contiguous
     # rows, whatever the layout of ``s.points``.
-    scale, e = np.frexp(np.abs(s.points).max())
+    scale, e = np.frexp(np.maximum(s.points.max(), -s.points.min()))
     scale = float(scale)  # the largest |coordinate| of the scaled cloud
     xy = np.ldexp(s.points.T, -e, order="C")
-    spread = np.linalg.svd((xy - xy.mean(axis=1, keepdims=True)).T, compute_uv=False)
+    xy -= xy.mean(axis=1, keepdims=True)
+    spread = np.linalg.svd(xy.T, compute_uv=False)
+    del xy  # centered in place for the SVD; scaled again below
     if spread[1] <= 1e-12 * max(spread[0], np.finfo(float).tiny):
         raise DegenerateCloud("sampled range cloud is numerically collinear")
+    xy = np.ldexp(s.points.T, -e, order="C")
     hull_vertices = _convex_hull(xy[0], xy[1], scale)
 
     lo, hi = xy.min(axis=1), xy.max(axis=1)

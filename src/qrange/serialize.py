@@ -43,7 +43,7 @@ def format_csv_rows(rows: np.ndarray) -> str:
     exponent ``k`` lies in [-4, 16], that is for ``1e-4 <= |x| < 1e17`` and
     for ``±0``; it round-trips, so the integral values in that window are the
     ones it prints without a point, and those get ``.0``.  NumPy builds that
-    text here, in blocks of 4096 rows:
+    text here, in blocks of 2048 rows:
 
     * ``k`` starts as ``floor(log10|x|)`` and moves by one wherever the exact
       product ``|x|·10**(16-k)`` falls outside ``[1e16, 1e17)``.

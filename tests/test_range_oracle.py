@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -26,9 +31,58 @@ from qrange import (
 from qrange._csvtext import _BLOCK_ROWS
 from qrange.range_oracle import _cell_keys, _grid_side
 from qrange.serialize import format_csv_rows
-from conftest import annulus_cloud, disk_cloud, near_collinear_cloud
+from conftest import annulus_cloud, disk_cloud, near_collinear_cloud, random_symmetric
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = REPO_ROOT / "instances"
+BENCHMARK_INSTANCES = ("saddle_pair_dependent", "tilted_saddle_mutual", "rank_deficient_4d", "bowl_vs_sheet_3d")
+
+# Reads a JSON list of cases ``[[f, g], box, count, seed, mode]`` on stdin and
+# prints the sha256 of each case's (2, count) values: from ``sample_range``
+# ("blocks"), or from evaluate_many on the whole of domain_points ("whole").
+_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+from qrange import ProblemInstance, SampleMode, domain_points, evaluate_many, make_quadratic, sample_range
+
+out = []
+for (f, g), box, count, seed, mode in json.load(sys.stdin):
+    p = ProblemInstance(make_quadratic(*f), make_quadratic(*g))
+    if sys.argv[1] == "whole":
+        X = domain_points(p.n, box, count, seed, SampleMode(mode))
+        values = np.stack([evaluate_many(p.f, X), evaluate_many(p.g, X)])
+    else:
+        values = sample_range(p, box, count, seed, SampleMode(mode)).points.T
+    out.append(hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest())
+print(json.dumps(out))
+"""
+
+
+def _digests(cases: list, how: str, blas_threads: int) -> list[str]:
+    """The digests :data:`_DIGESTS` prints for ``cases`` in a fresh interpreter running BLAS on ``blas_threads`` threads."""
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)), OPENBLAS_NUM_THREADS=str(blas_threads))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGESTS, how], input=json.dumps(cases), capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+def _random_pair(n: int, seed: int) -> list:
+    """The ``[f, g]`` of a random pair in ``n`` variables, as :func:`make_quadratic` arguments."""
+    rng = np.random.default_rng([n, seed])
+    return [[random_symmetric(rng, n).tolist(), rng.uniform(-2.0, 2.0, n).tolist(), float(rng.uniform(-1.0, 1.0))] for _ in range(2)]
+
+
+def _traced_peak(fn):
+    """``fn()`` and the most memory it held above its entry, as NumPy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def saddle_pair() -> ProblemInstance:
@@ -112,6 +166,46 @@ class TestSampleRange:
         X = domain_points(2, 2.0, 100, seed=9)
         f_vals = np.einsum("ij,jk,ik->i", X, p.f.A, X) + 2.0 * X @ p.f.a + p.f.a0
         assert np.allclose(s.points[:, 0], f_vals, atol=1e-12)
+
+    def test_cloud_does_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a whole-array product of 100,002 rows between two
+        # threads at row 50,001; on these two n = 8 pairs the rows next to
+        # the split then round differently than on one thread.
+        cases = [[_random_pair(8, seed), 3.0, 100_002, 0, "uniform"] for seed in (1, 3)]
+        one, *more = (_digests(cases, "blocks", threads) for threads in (1, 2, 4))
+        assert all(digests == one for digests in more)
+
+    def test_holds_less_than_twice_its_result(self):
+        p = ProblemInstance(*(make_quadratic(*q) for q in _random_pair(4, 0)))
+        sample_range(p, 3.0, 10, 0)  # NumPy's random module is imported on first use
+        cloud, peak = _traced_peak(lambda: sample_range(p, 3.0, 100_000, 0))
+        assert peak < 2 * cloud.points.nbytes
+
+
+# Counts on both sides of the block seams, a lone row past one (4097, 8193) included.
+BLOCK_SEAM_CASES = {
+    n: [
+        [_random_pair(n, seed), 3.0, count, seed, mode.value]
+        for count in (1, 2, 4095, 4096, 4097, 8193, 10003)
+        for mode in SampleMode
+        for seed in (0, 5, 2**64 - 1)
+    ]
+    for n in range(1, 9)
+}
+
+
+@pytest.fixture(scope="module")
+def whole_array_digests() -> dict[int, list[str]]:
+    """The digests of evaluate_many on the whole of domain_points, with BLAS on one thread."""
+    digests = iter(_digests([case for cases in BLOCK_SEAM_CASES.values() for case in cases], "whole", 1))
+    return {n: [next(digests) for _ in cases] for n, cases in BLOCK_SEAM_CASES.items()}
+
+
+@pytest.mark.parametrize("n", BLOCK_SEAM_CASES)
+def test_blocks_evaluate_as_the_whole_array(n, whole_array_digests):
+    for ((f, g), box, count, seed, mode), reference in zip(BLOCK_SEAM_CASES[n], whole_array_digests[n], strict=True):
+        cloud = sample_range(ProblemInstance(make_quadratic(*f), make_quadratic(*g)), box, count, seed, SampleMode(mode))
+        assert hashlib.sha256(np.ascontiguousarray(cloud.points.T).tobytes()).hexdigest() == reference, (count, seed, mode)
 
 
 class TestDetectHoles:
@@ -233,6 +327,13 @@ class TestDetectHoles:
         assert np.array_equal(report.hull_vertices, np.ldexp(base.hull_vertices, k))
         assert report.coverage_radius == np.ldexp(base.coverage_radius, k)
 
+    @pytest.mark.parametrize("name", BENCHMARK_INSTANCES)
+    def test_holds_under_3_75_times_the_cloud(self, name):
+        cloud = sample_range(load_problem(str(INSTANCES / f"{name}.json")), 5.0, 100_000, 0)
+        detect_holes(disk_cloud(), 20)  # NumPy's linalg module is imported on first use
+        _, peak = _traced_peak(lambda: detect_holes(cloud, 200))
+        assert peak < 3.75 * cloud.points.nbytes
+
     @pytest.mark.parametrize("res", [2, 200, 4097])
     def test_cell_keys_are_the_clamped_floor_of_each_point(self, res):
         rng = np.random.default_rng(res)
@@ -292,14 +393,7 @@ class TestEmitPlotData:
         assert list(tmp_path.iterdir()) == []
 
     def test_writing_holds_less_than_the_file_it_writes(self, tmp_path):
-        # NumPy reports its buffers to tracemalloc, so the peak is deterministic.
         cloud = sample_range(load_problem(str(INSTANCES / "saddle_pair_dependent.json")), 5.0, 100_000, 0)
         format_csv_rows(np.zeros((1, 2)))  # the digit tables are built on first use
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            emit_plot_data(cloud, None, str(tmp_path / "cloud.csv"))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_peak(lambda: emit_plot_data(cloud, None, str(tmp_path / "cloud.csv")))
         assert peak < (tmp_path / "cloud.csv").stat().st_size
