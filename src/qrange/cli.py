@@ -214,18 +214,7 @@ def _sample(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     except DegenerateCloud as exc:
         report = None
         holes = {"suspected_nonconvex": False, "degenerate_cloud": str(exc)}
-    result = {
-        "sample": {
-            "dimension": cloud.dimension,
-            "box": cloud.box,
-            "count": cloud.count,
-            "seed": cloud.seed,
-            "mode": cloud.mode.value,
-        },
-        "holes": holes,
-        "files": emit_plot_data(cloud, report, args.csv),
-    }
-    return result, EXIT_OK
+    return {"sample": cloud, "holes": holes, "files": emit_plot_data(cloud, report, args.csv)}, EXIT_OK
 
 
 def _reproduce(p: None, args: argparse.Namespace) -> tuple[Any, int]:

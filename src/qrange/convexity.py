@@ -75,17 +75,19 @@ class ConvexityCertificate:
     pair ``(g, f)`` (needed when ``f`` alone is affine); ``pencil_ratio`` and
     ``orientation`` refer to the swapped pair, while the witness's range
     points and ``gap_point`` — and ``f_level``/``g_level`` — are reported in
-    the original coordinate order.
+    the original coordinate order.  A CONVEX verdict leaves ``pencil_ratio``,
+    ``orientation``, ``f_level``, ``g_level`` and ``witness`` at their
+    default ``None``; ``path`` defaults to ``()``.
     """
 
     verdict: str
     swapped: bool
-    pencil_ratio: float | None
-    orientation: int | None
-    f_level: float | None
-    g_level: float | None
-    witness: NonconvexityWitness | None
-    path: tuple[dict[str, Any], ...]
+    pencil_ratio: float | None = None
+    orientation: int | None = None
+    f_level: float | None = None
+    g_level: float | None = None
+    witness: NonconvexityWitness | None = None
+    path: tuple[dict[str, Any], ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,26 +126,21 @@ def check_convexity(p: ProblemInstance) -> ConvexityCertificate:
 
 
 def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
-    path: list[dict[str, Any]] = []
     swapped = red.swapped
-    record0: dict[str, Any] = {
-        "step": 0,
-        "check": "degenerate_screen",
-        "norms": red.norms,
-        "both_matrices_zero": bool(red.fa_zero and red.ga_zero),
-        "both_linear_terms_zero": bool(red.a_zero and red.b_zero),
-        "swapped": swapped,
-    }
-    if red.fa_zero and red.ga_zero:
-        record0["outcome"] = "convex_affine_pair"
-        path.append(record0)
-        return _convex(path, swapped=False)
-    if red.a_zero and red.b_zero:
-        record0["outcome"] = "convex_homogeneous_pair"
-        path.append(record0)
-        return _convex(path, swapped=False)
-    record0["outcome"] = "continue"
-    path.append(record0)
+    affine, homogeneous = bool(red.fa_zero and red.ga_zero), bool(red.a_zero and red.b_zero)
+    path: list[dict[str, Any]] = [
+        {
+            "step": 0,
+            "check": "degenerate_screen",
+            "norms": red.norms,
+            "both_matrices_zero": affine,
+            "both_linear_terms_zero": homogeneous,
+            "swapped": swapped,
+            "outcome": "convex_affine_pair" if affine else "convex_homogeneous_pair" if homogeneous else "continue",
+        }
+    ]
+    if affine or homogeneous:
+        return ConvexityCertificate(VERDICT_CONVEX, swapped, path=tuple(path))
 
     projected, residual, dependent = red.pencil
     record1 = {
@@ -156,7 +153,7 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
     }
     path.append(record1)
     if not dependent:
-        return _convex(path, swapped)
+        return ConvexityCertificate(VERDICT_CONVEX, swapped, path=tuple(path))
 
     g, ratio, hp = red.g, projected, red.hyperplane
     passes2 = hp.a_in and hp.c_in
@@ -172,7 +169,7 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
     }
     path.append(record2)
     if not passes2:
-        return _convex(path, swapped)
+        return ConvexityCertificate(VERDICT_CONVEX, swapped, path=tuple(path))
 
     pos_ok, neg_ok = +1 in hp.orientations, -1 in hp.orientations
     record3 = {
@@ -187,7 +184,7 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
     }
     path.append(record3)
     if not (pos_ok or neg_ok):
-        return _convex(path, swapped)
+        return ConvexityCertificate(VERDICT_CONVEX, swapped, path=tuple(path))
     orientation = hp.orientations[0]
 
     # Construct the certificate at f's stationary point: levels, then witness
@@ -227,19 +224,6 @@ def _check_convexity(red: _PairReduction) -> ConvexityCertificate:
         f_level=float(f_level),
         g_level=float(g_level),
         witness=witness,
-        path=tuple(path),
-    )
-
-
-def _convex(path: list[dict[str, Any]], swapped: bool) -> ConvexityCertificate:
-    return ConvexityCertificate(
-        verdict=VERDICT_CONVEX,
-        swapped=swapped,
-        pencil_ratio=None,
-        orientation=None,
-        f_level=None,
-        g_level=None,
-        witness=None,
         path=tuple(path),
     )
 

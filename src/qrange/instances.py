@@ -75,20 +75,16 @@ class SuiteRow:
     detail: str
 
 
-def _quad(A, a, a0):
-    return make_quadratic(np.asarray(A, dtype=float), np.asarray(a, dtype=float), a0)
-
-
 def _build_cases() -> tuple[CuratedCase, ...]:
     rt3 = np.sqrt(3.0)
     rt2 = np.sqrt(2.0)
 
-    saddle = _quad([[-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], 0.0)
-    saddle_partner = _quad([[-2.0, 0.0], [0.0, 2.0]], [2.0, -1.0], 0.0)
-    saddle_partner_hom = _quad([[-2.0, 0.0], [0.0, 2.0]], [0.0, 0.0], 0.0)
+    saddle = make_quadratic([[-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], 0.0)
+    saddle_partner = make_quadratic([[-2.0, 0.0], [0.0, 2.0]], [2.0, -1.0], 0.0)
+    saddle_partner_hom = make_quadratic([[-2.0, 0.0], [0.0, 2.0]], [0.0, 0.0], 0.0)
 
-    tilted_f = _quad([[-rt3 / 2, 0.0], [0.0, rt3 / 2]], [0.5, -0.25], 0.0)
-    tilted_g = _quad([[0.5, 0.0], [0.0, -0.5]], [rt3 / 2, -rt3 / 4], 0.0)
+    tilted_f = make_quadratic([[-rt3 / 2, 0.0], [0.0, rt3 / 2]], [0.5, -0.25], 0.0)
+    tilted_g = make_quadratic([[0.5, 0.0], [0.0, -0.5]], [rt3 / 2, -rt3 / 4], 0.0)
 
     A4 = np.array(
         [
@@ -98,11 +94,11 @@ def _build_cases() -> tuple[CuratedCase, ...]:
             [0.0, 0.5, 0.0, 0.5],
         ]
     )
-    rank_f = _quad(A4, [1.0, 1.0 / rt2, 1.0, 1.0 / rt2], 0.0)
-    rank_g = _quad(2.0 * A4, [2.5, 3.0 / (2.0 * rt2), 4.0, 3.0 / (2.0 * rt2)], 0.0)
+    rank_f = make_quadratic(A4, [1.0, 1.0 / rt2, 1.0, 1.0 / rt2], 0.0)
+    rank_g = make_quadratic(2.0 * A4, [2.5, 3.0 / (2.0 * rt2), 4.0, 3.0 / (2.0 * rt2)], 0.0)
 
-    bowl_3d = _quad(np.diag([1.0, 1.0, 0.0]), [0.0, 0.0, 0.0], 0.0)
-    sheet_3d = _quad(np.diag([-1.0, 1.0, 0.0]), [0.0, 0.0, 0.5], 0.0)
+    bowl_3d = make_quadratic(np.diag([1.0, 1.0, 0.0]), [0.0, 0.0, 0.0], 0.0)
+    sheet_3d = make_quadratic(np.diag([-1.0, 1.0, 0.0]), [0.0, 0.0, 0.5], 0.0)
 
     wide_saddle = np.diag([-1.0, 4.0])
     zero2 = np.zeros((2, 2))
@@ -163,8 +159,8 @@ def _build_cases() -> tuple[CuratedCase, ...]:
             "saddle's zero set, so that level pair does not separate "
             "(other levels do: the range is still nonconvex)",
             ProblemInstance(
-                _quad(wide_saddle, [0.0, 0.0], 0.0),
-                _quad(zero2, [1.0, -0.5], 0.0),
+                make_quadratic(wide_saddle, [0.0, 0.0], 0.0),
+                make_quadratic(zero2, [1.0, -0.5], 0.0),
             ),
             Expected(
                 VERDICT_NONCONVEX,
@@ -177,8 +173,8 @@ def _build_cases() -> tuple[CuratedCase, ...]:
             "lowered wide saddle with an affine partner whose zero line passes "
             "between the two branches of the saddle's zero set",
             ProblemInstance(
-                _quad(wide_saddle, [0.0, 0.0], -1.0),
-                _quad(zero2, [0.5, -2.5], 0.0),
+                make_quadratic(wide_saddle, [0.0, 0.0], -1.0),
+                make_quadratic(zero2, [0.5, -2.5], 0.0),
             ),
             Expected(
                 VERDICT_NONCONVEX,
@@ -192,8 +188,8 @@ def _build_cases() -> tuple[CuratedCase, ...]:
             "a wide saddle and its horizontal translate (ratio 1); their zero "
             "sets separate each other, while the levels (2, 0) do not",
             ProblemInstance(
-                _quad(wide_saddle, [0.0, 0.0], 1.0),
-                _quad(wide_saddle, [1.0, 0.0], 0.0),
+                make_quadratic(wide_saddle, [0.0, 0.0], 1.0),
+                make_quadratic(wide_saddle, [1.0, 0.0], 0.0),
             ),
             Expected(
                 VERDICT_NONCONVEX,

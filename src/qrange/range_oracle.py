@@ -12,11 +12,11 @@ the domain points are never whole and the values do not depend on how many
 threads BLAS runs.  Hole detection uses NumPy only, and works on contiguous
 columns: the cloud is built with its ``f`` and ``g`` columns contiguous, and
 detection copies it once, scaled, into two contiguous rows whatever its
-layout, so every pass over ``f`` or ``g`` reads memory in order.  Its other
-passes over the whole cloud (the hull's prefilter and chord tests, the cell
-keys) run on blocks of 4096 points, and the cell sort reorders the scaled
-copy in place, one row at a time, so detection makes no second copy of the
-cloud but LAPACK's in the SVD.
+layout, so every pass over ``f`` or ``g`` reads memory in order.  The SVD
+that screens out collinear clouds takes one centered copy of it (LAPACK
+copies that again).  Quickhull's chord tests and the cell keys run on
+blocks of 4096 points, and the cell sort reorders the scaled copy in place,
+one row at a time, so no other pass copies the whole cloud.
 
 The hull is an Akl–Toussaint prefilter followed by quickhull; its vertices
 run counter-clockwise from the lexicographically smallest one (least ``f``,
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -54,8 +54,8 @@ __all__ = [
 
 # Points are generated in fixed-size blocks, each from its own
 # counter-based generator keyed by (seed, block index), so the size is part
-# of the sampled cloud.  The points are evaluated, and detection's passes
-# over the cloud run, in blocks of the same size.
+# of the sampled cloud.  The points are evaluated, and detection's chord
+# tests and cell keys computed, in blocks of the same size.
 _BLOCK = 4096
 
 # A hull vertex closer than this, times the cloud's largest absolute
@@ -80,9 +80,9 @@ class SampleMode(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class RangeSample:
-    """A deterministic cloud of joint-range points ``(f(x), g(x))``."""
+    """A deterministic cloud of joint-range points ``(f(x), g(x))``; ``points`` is not printed."""
 
-    points: np.ndarray
+    points: np.ndarray = field(metadata={"json": False})
     dimension: int
     box: float
     count: int
@@ -216,10 +216,8 @@ def _convex_hull(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
     if poly.shape[0] >= 3:
         edges = [(px, py, dx, dy, tau * math.hypot(dx, dy)) for (px, py), (dx, dy) in zip(poly, np.roll(poly, -1, axis=0) - poly)]
         outer = np.zeros(x.size, dtype=bool)
-        for start in range(0, x.size, _BLOCK):
-            bx, by, out = x[start : start + _BLOCK], y[start : start + _BLOCK], outer[start : start + _BLOCK]
-            for px, py, dx, dy, h in edges:
-                out |= dx * (by - py) - dy * (bx - px) <= h
+        for px, py, dx, dy, h in edges:
+            outer |= dx * (y - py) - dy * (x - px) <= h
         candidates = np.flatnonzero(outer)
     # The lexicographically least and greatest candidates; among equal
     # points, the first and the last, as a stable sort would order them.
@@ -420,12 +418,9 @@ def detect_holes(
     scale, e = np.frexp(np.maximum(s.points.max(), -s.points.min()))
     scale = float(scale)  # the largest |coordinate| of the scaled cloud
     xy = np.ldexp(s.points.T, -e, order="C")
-    xy -= xy.mean(axis=1, keepdims=True)
-    spread = np.linalg.svd(xy.T, compute_uv=False)
-    del xy  # centered in place for the SVD; scaled again below
+    spread = np.linalg.svd((xy - xy.mean(axis=1, keepdims=True)).T, compute_uv=False)
     if spread[1] <= 1e-12 * max(spread[0], np.finfo(float).tiny):
         raise DegenerateCloud("sampled range cloud is numerically collinear")
-    xy = np.ldexp(s.points.T, -e, order="C")
     hull_vertices = _convex_hull(xy[0], xy[1], scale)
 
     lo, hi = xy.min(axis=1), xy.max(axis=1)

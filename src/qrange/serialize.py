@@ -3,7 +3,7 @@
 A report prints its own fields: :func:`jsonable` turns a dataclass into the
 dict of its fields, in declaration order, less those declared with
 ``field(metadata={"json": False})``.  It is the one place that converts
-arrays, tuples and NumPy scalars to plain JSON data.
+arrays, tuples, NumPy scalars and enum members to plain JSON data.
 
 The machine-readable outputs are byte-stable: keys are emitted in sorted
 order, floats are printed with 17 significant digits (enough to round-trip a
@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 from collections.abc import Iterator
+from enum import Enum
 from typing import Any
 
 import numpy as np
@@ -92,7 +93,8 @@ def jsonable(obj: Any) -> Any:
 
     A dataclass becomes the dict of its fields in declaration order, less
     those whose metadata sets ``"json"`` to false; dicts, lists and tuples
-    are walked; arrays and NumPy scalars become their ``.tolist()``.
+    are walked; arrays and NumPy scalars become their ``.tolist()``, and an
+    enum member its ``.value``.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.metadata.get("json", True)}
@@ -102,6 +104,8 @@ def jsonable(obj: Any) -> Any:
         return [jsonable(item) for item in obj]
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
+    if isinstance(obj, Enum):
+        return obj.value
     return obj
 
 

@@ -167,6 +167,11 @@ class TestExitCodes:
         result = json.loads(out)["result"]
         assert (result["g_separates_f"], result["f_separates_g"]) == (False, False)
 
+    def test_level_form_offset_that_overflows_is_invalid_input(self, capsys):
+        # The pair's ratio is 2, so the level form's offset holds 2 * alpha.
+        code, out, err = run_cli(capsys, "separate", "--input", SPLIT, "--alpha=1.7e308", "--beta=0")
+        assert (code, out, err) == (2, "", "invalid input: level form offset overflows the float range\n")
+
     def test_both_orientations_passing_is_decided(self, capsys, tmp_path):
         # At tol_psd = 1e-3 both orientations pass, and +1's witness line
         # lies inside {c'x = 0}: the certificate is built on -1, whose

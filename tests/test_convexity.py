@@ -94,6 +94,17 @@ class TestCheckConvexityVerdicts:
         assert cert.path[-1]["step"] == 0
         assert cert.path[-1]["outcome"] == "convex_homogeneous_pair"
 
+    def test_homogeneous_pair_with_affine_f_reports_its_swap(self):
+        # Only f's matrix vanishes, so the pair is analysed swapped: the
+        # certificate says so, as its step-0 record and fb-check do.
+        f = make_quadratic(np.zeros((2, 2)), np.zeros(2), 1.0)
+        g = make_quadratic(np.diag([-1.0, 1.0]), np.zeros(2), 0.0)
+        p = ProblemInstance(f, g)
+        cert = check_convexity(p)
+        assert (cert.verdict, cert.path[-1]["outcome"]) == (VERDICT_CONVEX, "convex_homogeneous_pair")
+        assert cert.swapped is cert.path[0]["swapped"] is check_flores_bazan(p).swapped is True
+        assert jsonable(cert)["swapped"] is True
+
     def test_independent_matrices_convex_at_pencil_step(self):
         f = make_quadratic(np.diag([1.0, 1.0, 0.0]), np.zeros(3), 0.0)
         g = make_quadratic(np.diag([-1.0, 1.0, 0.0]), [0.0, 0.0, 0.5], 0.0)
@@ -646,6 +657,30 @@ class TestBoundaryFamilies:
                 nonconvex_as_analysed = verdict == VERDICT_NONCONVEX and check_convexity(q).orientation == s
                 assert nonconvex_as_analysed == (k > 1), (i, k)
 
+    @pytest.mark.parametrize("k", [0.25, 0.5, 2.0, 4.0, 16.0])
+    def test_separate_margin(self, pairs, k):
+        # The certificate's hyperplane is kept, so it passes through x_c and
+        # the foot point is x_c; alpha moves so that the margin
+        # M = s*(f(x_c) - alpha) is k times the margin test's threshold
+        # tol_psd * (|f(x_c) - alpha| + |quad_term| + terms(1 + ||x_c||)).
+        # quad_term vanishes at x_c up to rounding, so M = k*t*(M + terms).
+        for i, (p, cert) in enumerate(pairs):
+            red = separation._PairReduction(p.f, p.g, p.tolerances)
+            hp, s, ratio = red.hyperplane, cert.orientation, cert.pencil_ratio
+            t = p.tolerances.tol_psd
+            margin = k * t * hp.terms(1.0 + np.linalg.norm(hp.x_c)) / (1.0 - k * t)
+            alpha = hp.f_c - s * margin
+            beta = ratio * alpha + float(hp.c @ hp.x_c + red.offset())
+            level_form = separation.AffineForm(hp.c, red.offset(alpha, beta))
+            report = separation.affine_separates_quadratic(red.f.add_constant(-alpha), level_form, p.tolerances)
+            levels = (beta, alpha) if cert.swapped else (alpha, beta)
+            pair = level_pair_separation(p.f, p.g, *levels, p.tolerances)
+            analysed = pair.f_separates_g if cert.swapped else pair.g_separates_f
+            assert report.separates == analysed == (k > 1), (i, k)
+            assert report.near_degenerate == (k < 1), (i, k)
+            if k > 1:
+                assert report.orientation == s, (i, k)
+
     def test_linear_term_and_gradient_memberships(self):
         # On singular NONCONVEX pairs, f.a or c moves off A's column space
         # along a null vector u, to k times the rank test's threshold.  f.a
@@ -688,6 +723,11 @@ class TestVerifyCertificate:
         p = ProblemInstance(f, g)
         report = verify_certificate(p, check_convexity(p))
         assert report == {"applicable": False, "valid": True}
+
+    def test_nonconvex_certificate_without_witness_rejected(self):
+        p = saddle_pair()
+        report = verify_certificate(p, dataclasses.replace(check_convexity(p), witness=None))
+        assert report == {"applicable": True, "valid": False, "reason": "certificate lacks witness data"}
 
     def test_tampered_witness_rejected(self):
         import dataclasses

@@ -5,7 +5,9 @@ reproduce the recorded stdout byte for byte, with the recorded exit code.
 This turns "same behaviour" across refactors into a byte comparison.
 The ``*-text`` goldens pin the ``--format text`` renderer on one NONCONVEX
 run of each decision command and on one ``sample`` run; ``reproduce-text``
-pins ``reproduce``'s default pass/fail table.
+pins ``reproduce``'s default pass/fail table.  ``check`` and ``witness`` also
+run, in both formats, on the n = 1 pair ``tests/data/parabola_line_1d.json``,
+whose empty restricted spectrum prints as ``[]``.
 ``sample`` writes its CSVs into a fresh directory; its golden holds stdout
 with the output paths made relative to that directory, followed by the
 sha256 of each written CSV in ``sha256sum`` format.  One more golden pins the
@@ -57,6 +59,8 @@ TEXT_RUNS = (
     "separate-tilted_saddle_mutual--4_2",
 )
 DEFAULT_SAMPLE_CASE = "saddle_pair_dependent"
+# An n = 1 pair, f = x^2 and g = x: its restricted eigenvalues are an empty list.
+ONE_DIMENSIONAL = REPO_ROOT / "tests" / "data" / "parabola_line_1d.json"
 OUT_DIR = "{out}"
 
 
@@ -72,6 +76,9 @@ def _invocations() -> dict[str, list[str]]:
             ]
     for name in TEXT_RUNS:
         runs[f"{name}-text"] = [*runs[name], "--format", "text"]
+    for command in ("check", "witness"):
+        runs[f"{command}-{ONE_DIMENSIONAL.stem}"] = [command, "--input", str(ONE_DIMENSIONAL)]
+        runs[f"{command}-{ONE_DIMENSIONAL.stem}-text"] = [command, "--input", str(ONE_DIMENSIONAL), "--format", "text"]
     runs["reproduce-json"] = ["reproduce", "--format", "json"]
     runs["reproduce-text"] = ["reproduce"]
     path = str(REPO_ROOT / "instances" / f"{SAMPLE_CASE}.json")

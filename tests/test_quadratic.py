@@ -82,6 +82,10 @@ class TestMakeQuadratic:
         with pytest.raises(DimensionMismatch):
             make_quadratic(np.ones((2, 3)), [0.0, 0.0], 0.0)
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch, match="dimension must be at least 1"):
+            make_quadratic(np.zeros((0, 0)), np.zeros(0), 0.0)
+
     def test_arrays_read_only(self):
         f = saddle()
         with pytest.raises(ValueError):
@@ -156,6 +160,11 @@ class TestEvaluation:
             with pytest.raises(DimensionMismatch, match="expected \\(2,\\)"):
                 evaluate(f, x)
 
+    @pytest.mark.parametrize("X", [np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))])
+    def test_evaluate_many_rejects_points_of_the_wrong_shape(self, X):
+        with pytest.raises(DimensionMismatch, match="expected \\(m, 2\\)"):
+            evaluate_many(saddle(), X)
+
     def test_callable_protocol(self):
         f = saddle()
         assert f(np.array([2.0, 0.0])) == pytest.approx(-4.0)
@@ -176,6 +185,11 @@ class TestAlgebra:
         for _ in range(10):
             x = rng.uniform(-2, 2, 3)
             assert evaluate(composed, x) == pytest.approx(evaluate(f, t_mat @ x + shift), abs=1e-10)
+
+    @pytest.mark.parametrize("T, t", [(np.eye(3), np.zeros(2)), (np.eye(2), np.zeros(3)), (np.zeros(2), np.zeros(2))])
+    def test_compose_affine_rejects_mismatched_substitution(self, T, t):
+        with pytest.raises(DimensionMismatch, match="do not match n=2"):
+            compose_affine(saddle(), T, t)
 
     def test_scaled_and_shifted(self):
         f = saddle()
@@ -268,6 +282,23 @@ class TestJsonRoundTrip:
         doc = problem_to_dict(ProblemInstance(saddle(), saddle()))
         doc["n"] = np.int64(2)
         assert problem_from_dict(doc).n == 2
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: [doc], "must be a JSON object"),
+            (lambda doc: {**doc, "n": 0}, "dimension must be positive, got 0"),
+            (lambda doc: {**doc, "n": -1}, "dimension must be positive, got -1"),
+            (lambda doc: {**doc, "tolerances": [1e-9]}, "'tolerances' must be an object"),
+            (lambda doc: {**doc, "tolerances": {"tol_eig": "x"}}, "bad tolerances"),
+            (lambda doc: {**doc, "g": {"A": doc["g"]["A"], "a": doc["g"]["a"]}}, "bad quadratic entry for 'g'"),
+            (lambda doc: {**doc, "f": {**doc["f"], "A": [[1.0, 0.0]]}}, "'f' has shapes A\\(1, 2\\)"),
+        ],
+    )
+    def test_malformed_document_rejected(self, change, message):
+        doc = problem_to_dict(ProblemInstance(saddle(), saddle()))
+        with pytest.raises(InvalidInstance, match=message):
+            problem_from_dict(change(doc))
 
     def test_missing_field_rejected(self):
         with pytest.raises(InvalidInstance):

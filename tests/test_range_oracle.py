@@ -229,6 +229,10 @@ class TestDetectHoles:
         with pytest.raises(DegenerateCloud):
             detect_holes(s, 50)
 
+    def test_resolution_below_two_rejected(self):
+        with pytest.raises(InvalidInstance, match="resolution must be at least 2, got 1"):
+            detect_holes(annulus_cloud(), 1)
+
     def test_too_few_points_raises(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
         s = RangeSample(pts, 2, 1.0, 2, 0, SampleMode.UNIFORM)

@@ -42,6 +42,16 @@ class TestAffineForm:
         with pytest.raises(DimensionMismatch):
             AffineForm(np.array([]), 0.0)
 
+    @pytest.mark.parametrize("c0", [np.inf, -np.inf, np.nan])
+    def test_non_finite_offset_rejected(self, c0):
+        with pytest.raises(InvalidInstance, match="affine form data must be finite"):
+            AffineForm(np.array([1.0, 0.0]), c0)
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((2, 1)), 1.0])
+    def test_point_of_the_wrong_shape_rejected(self, x):
+        with pytest.raises(DimensionMismatch, match="expected \\(2,\\)"):
+            AffineForm(np.array([1.0, 0.0]), 0.0)(x)
+
 
 class TestAffineSeparatesQuadratic:
     def test_through_center_fails_with_near_degenerate_flag(self):

@@ -231,6 +231,14 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             canonical_json({"x": float("nan")})
 
+    def test_non_string_key_rejected(self):
+        with pytest.raises(TypeError, match="keys must be strings, got 1"):
+            canonical_json({1: 0.5})
+
+    def test_unsupported_type_rejected(self):
+        with pytest.raises(TypeError, match="cannot serialize object of type set"):
+            canonical_json({"x": {1.0}})
+
     def test_dataclass_prints_its_fields_in_order_less_json_false(self):
         @dataclasses.dataclass
         class Report:
@@ -242,3 +250,10 @@ class TestCanonicalJson:
         assert doc == {"report": {"zeta": [1.0], "alpha": [2, True]}}
         assert list(doc["report"]) == ["zeta", "alpha"]
         assert [type(x) for x in doc["report"]["alpha"]] == [int, bool]
+
+    def test_range_sample_prints_its_parameters_not_its_points(self):
+        cloud = RangeSample(np.zeros((3, 2)), 2, 1.0, 3, 7, SampleMode.UNIFORM)
+        doc = jsonable(cloud)
+        assert doc == {"dimension": 2, "box": 1.0, "count": 3, "seed": 7, "mode": "uniform"}
+        assert list(doc) == ["dimension", "box", "count", "seed", "mode"]
+        assert type(doc["mode"]) is str  # the enum member's value, which text output prints as is

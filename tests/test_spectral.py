@@ -58,6 +58,11 @@ class TestEigh:
         sd = eigh(np.diag([-4.0, 1.0]))
         assert sd.spectral_norm == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("M", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))])
+    def test_non_square_rejected(self, M):
+        with pytest.raises(DimensionMismatch, match="matrix must be square"):
+            eigh(M)
+
     def test_empty_matrix(self):
         sd = eigh(np.zeros((0, 0)))
         assert sd.eigenvalues.shape == (0,)
@@ -142,6 +147,11 @@ class TestNullSpaceBasis:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             null_space_basis(np.zeros(3))
+
+    @pytest.mark.parametrize("c", [np.zeros(0), np.ones((2, 2)), np.array(1.0)])
+    def test_direction_that_is_no_nonempty_vector_rejected(self, c):
+        with pytest.raises(DimensionMismatch, match="nonempty vector"):
+            null_space_basis(c)
 
 
 class TestRangeMembership:
@@ -243,6 +253,10 @@ class TestPencilDependence:
     def test_zero_first_matrix_raises(self):
         with pytest.raises(ZeroMatrix):
             pencil_dependence(np.zeros((2, 2)), np.eye(2), TOL_DEP)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch, match="shape mismatch"):
+            pencil_dependence(np.eye(2), np.eye(3), TOL_DEP)
 
     def test_near_dependence_within_tolerance(self):
         a_mat = np.diag([1.0, 2.0])
