@@ -9,10 +9,15 @@ geometry is dwarfed by the image of large ``|x|``.
 
 The cloud is generated and evaluated in blocks of 4096 domain points, so
 the domain points are never whole and the values do not depend on how many
-threads BLAS runs.  Hole detection uses NumPy only, and works on contiguous
-columns: the cloud is built with its ``f`` and ``g`` columns contiguous, and
-detection copies it once, scaled, into two contiguous rows whatever its
-layout, so every pass over ``f`` or ``g`` reads memory in order.  The SVD
+threads BLAS runs.  Block ``b``'s uniform points are the ones NumPy's
+``Generator(Philox(key=(seed, b))).uniform`` draws, bit for bit, but the
+Philox4x64-10 rounds run here in NumPy integer arithmetic, three blocks per
+call, so the module never imports ``numpy.random`` and the points do not
+move when NumPy changes its ``Generator`` methods.  Hole detection uses
+NumPy only, and works on contiguous columns: the cloud is built with its
+``f`` and ``g`` columns contiguous, and detection copies it once, scaled,
+into two contiguous rows whatever its layout, so every pass over ``f`` or
+``g`` reads memory in order.  The SVD
 that screens out collinear clouds takes one centered copy of it (LAPACK
 copies that again).  Quickhull's chord tests and the cell keys run on
 blocks of 4096 points, and the cell sort reorders the scaled copy in place,
@@ -58,6 +63,11 @@ __all__ = [
 # tests and cell keys computed, in blocks of the same size.
 _BLOCK = 4096
 
+# The domain points of this many blocks are drawn in one call: the Philox
+# rounds take over 300 NumPy calls whatever their length, and three blocks
+# at n = 4 hold the call's working memory to about 1 MB.
+_GROUP = 3
+
 # A hull vertex closer than this, times the cloud's largest absolute
 # coordinate, to the line through its two neighbours is not a vertex.  Qhull
 # merges such near-collinear vertices (grid-mode clouds have many).  Any value
@@ -71,6 +81,13 @@ _COLLINEAR = 3e-15
 # assignment and center placement, so those decisions agree with exact
 # distances.
 _SLACK = 1.0 / 16
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11), the bit generator of NumPy's ``Philox``: the multipliers of
+# counter words 0 and 2, each as its high and low 32-bit halves and whole,
+# and the Weyl increments of the two key words.
+_PHILOX_M = tuple((np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF), np.uint64(m)) for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 class SampleMode(str, Enum):
@@ -106,9 +123,74 @@ class HoleReport:
     largest_cluster: int
 
 
-def _uniform_block(seed: int, block_index: int, n: int, box: float, rows: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(block_index))))
-    return gen.uniform(-box, box, size=(rows, n))
+def _mulhi(x: np.ndarray, halves: tuple[np.uint64, np.uint64, np.uint64]) -> np.ndarray:
+    """The high 64-bit words of the products ``m * x``; ``x`` is overwritten with their low words.
+
+    ``halves`` is ``(m >> 32, m & 0xFFFFFFFF, m)``.  NumPy keeps the low 64
+    bits of an array product, so the high words are summed from the exact
+    products of 32-bit halves.
+    """
+    m_hi, m_lo, m = halves
+    hi, lo = x >> 32, x & 0xFFFFFFFF
+    mid = hi * m_lo
+    t = lo * m_lo
+    t >>= 32
+    mid += t
+    lo *= m_hi
+    np.bitwise_and(mid, 0xFFFFFFFF, out=t)
+    lo += t
+    hi *= m_hi
+    mid >>= 32
+    hi += mid
+    lo >>= 32
+    hi += lo
+    x *= m
+    return hi
+
+
+def _uniform_blocks(seed: int, first: int, n: int, box: float, rows: int) -> np.ndarray:
+    """The first ``rows`` uniform points in ``[-box, box)**n`` of blocks ``first``, ``first + 1``, ....
+
+    Block ``b`` holds the ``_BLOCK`` points NumPy's
+    ``Generator(Philox(key=(seed, b))).uniform(-box, box, (_BLOCK, n))``
+    draws, bit for bit.  Philox4x64-10 maps each counter 1, 2, ... of a
+    block (NumPy steps the counter before each batch) to four words, which
+    fill the block's points in C order.  The key schedule runs in Python
+    ints, since an overflowing NumPy scalar warns where an array wraps.
+    """
+    per_block = _BLOCK * n // 4
+    c0 = np.arange(-(-rows * n // 4), dtype=np.uint64)
+    c0 %= per_block
+    c0 += 1
+    blocks = list(enumerate(range(0, c0.size, per_block), start=first))
+    # Words 1, 2 and 3 start at zero, so the first round leaves key word 0
+    # (the seed) in word 0 and zero in word 1; word 2 takes the counter's
+    # high product mixed with key word 1 (the block), and word 3 its low one.
+    c2 = _mulhi(c0, _PHILOX_M[0])
+    for b, start in blocks:
+        c2[start : start + per_block] ^= np.uint64(b)
+    c0, c1, c3 = np.full_like(c2, seed), np.zeros_like(c2), c0
+    for r in range(1, 10):
+        # Words 0 and 2 take the high products of words 2 and 0, each mixed
+        # with a key word and the odd word beside it; words 1 and 3 take
+        # the low products.
+        h0 = _mulhi(c0, _PHILOX_M[0])
+        h1 = _mulhi(c2, _PHILOX_M[1])
+        h1 ^= c1
+        h1 ^= np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
+        h0 ^= c3
+        for b, start in blocks:
+            h0[start : start + per_block] ^= np.uint64((b + r * _PHILOX_W[1]) % 2**64)
+        c0, c1, c2, c3 = h1, c2, h0, c0
+    draws = np.empty((c0.size, 4))
+    for j, c in enumerate((c0, c1, c2, c3)):
+        c >>= 11
+        draws[:, j] = c
+    points = draws.reshape(-1)[: rows * n].reshape(rows, n)
+    points *= 2.0**-53
+    points *= box - -box
+    points += -box
+    return points
 
 
 def _grid_side(count: int, n: int) -> int:
@@ -121,6 +203,8 @@ def _grid_side(count: int, n: int) -> int:
 
 def _domain_blocks(n: int, box: float, count: int, seed: int, mode: SampleMode) -> Iterator[np.ndarray]:
     """Check the sampling parameters, then yield the domain points in blocks of ``_BLOCK`` rows.
+
+    The points are made ``_GROUP`` blocks at a time and yielded as views.
 
     A lone last row joins the block before it: BLAS evaluates a one-row
     block with a dot product, which rounds differently from the
@@ -138,8 +222,7 @@ def _domain_blocks(n: int, box: float, count: int, seed: int, mode: SampleMode) 
     if mode == SampleMode.UNIFORM:
 
         def rows(start: int, stop: int) -> np.ndarray:
-            blocks = range(start // _BLOCK, -(-stop // _BLOCK))
-            return np.concatenate([_uniform_block(seed, b, n, box, min(_BLOCK, stop - b * _BLOCK)) for b in blocks])
+            return _uniform_blocks(seed, start // _BLOCK, n, box, stop - start)
 
     else:
         side = _grid_side(count, n)
@@ -152,7 +235,17 @@ def _domain_blocks(n: int, box: float, count: int, seed: int, mode: SampleMode) 
                 coords[:, k] = axis[(idx // side ** (n - 1 - k)) % side]
             return coords
 
-    return (rows(start, stop) for start, stop in zip(starts, [*starts[1:], count]))
+    bounds = list(zip(starts, [*starts[1:], count]))
+
+    def blocks() -> Iterator[np.ndarray]:
+        for g in range(0, len(bounds), _GROUP):
+            group = bounds[g : g + _GROUP]
+            first = group[0][0]
+            X = rows(first, group[-1][1])
+            for start, stop in group:
+                yield X[start - first : stop - first]
+
+    return blocks()
 
 
 def domain_points(

@@ -59,6 +59,7 @@ TEXT_RUNS = (
     "separate-tilted_saddle_mutual--4_2",
 )
 DEFAULT_SAMPLE_CASE = "saddle_pair_dependent"
+MAX_SEED_SAMPLE_CASE = "tilted_saddle_mutual"
 # An n = 1 pair, f = x^2 and g = x: its restricted eigenvalues are an empty list.
 ONE_DIMENSIONAL = REPO_ROOT / "tests" / "data" / "parabola_line_1d.json"
 OUT_DIR = "{out}"
@@ -91,6 +92,14 @@ def _invocations() -> dict[str, list[str]]:
     # The `sample` benchmark op: CLI defaults (1e5 samples, resolution 200).
     path = str(REPO_ROOT / "instances" / f"{DEFAULT_SAMPLE_CASE}.json")
     runs[f"sample-default-{DEFAULT_SAMPLE_CASE}"] = ["sample", "--input", path, "--output", f"{OUT_DIR}/cloud.csv"]
+    # The largest seed: every block's first key word is 2**64 - 1, so the
+    # Philox key schedule wraps at its first bump.  Two blocks, of 4096 and
+    # 904 rows.
+    path = str(REPO_ROOT / "instances" / f"{MAX_SEED_SAMPLE_CASE}.json")
+    runs[f"sample-max_seed-{MAX_SEED_SAMPLE_CASE}"] = [
+        "sample", "--input", path, "--seed", str(2**64 - 1), "--samples", "5000",
+        "--resolution", "50", "--output", f"{OUT_DIR}/cloud.csv",
+    ]
     return runs
 
 
@@ -177,7 +186,7 @@ def test_decision_commands_match_golden_without_scipy():
 def test_sample_commands_match_golden_without_scipy(tmp_path):
     """A fresh interpreter reproduces the ``sample`` goldens, CSV bytes included, without SciPy."""
     names = sorted(name for name in INVOCATIONS if name.startswith("sample-"))
-    assert len(names) == 4
+    assert len(names) == 5
     dirs = {name: tmp_path / name for name in names}
     for d in dirs.values():
         d.mkdir()

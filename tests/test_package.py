@@ -120,9 +120,40 @@ def test_sample_loads_the_oracle_but_not_instances(tmp_path):
     loaded = _loaded_by(argv)
     assert "qrange.range_oracle" in loaded
     assert not loaded & {"qrange.instances", "qrange.convexity", "qrange.separation", "qrange.spectral"}
+    # The Philox stream is computed in range_oracle, not drawn from numpy.random.
+    assert "numpy.random" not in loaded
 
 
 def test_reproduce_loads_instances_but_not_the_oracle():
     loaded = _loaded_by(["reproduce"])
     assert "qrange.instances" in loaded
     assert "qrange.range_oracle" not in loaded
+
+
+# Calls the entry point ``qrange.__main__.run`` on ``reproduce`` in this
+# interpreter and prints the exit code, the OPENBLAS_NUM_THREADS it leaves and
+# the threads of the process, or null where there is no /proc.
+_ENTRY_POINT = """
+import contextlib, io, json, os, sys
+from qrange.__main__ import run
+sys.argv = ["qrange", "reproduce"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run()
+tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"code": code, "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": tasks}))
+"""
+
+
+@pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "caller-set"])
+def test_entry_point_runs_blas_on_one_thread_unless_the_caller_chose(caller):
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_POINT], capture_output=True, text=True, env=env, timeout=120, check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 0, proc.stderr
+    assert doc["blas_threads"] == (caller or "1")
+    if caller is None and doc["tasks"] is not None:
+        assert len(doc["tasks"]) == 1

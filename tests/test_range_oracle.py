@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -29,7 +30,7 @@ from qrange import (
     sample_range,
 )
 from qrange._csvtext import _BLOCK_ROWS
-from qrange.range_oracle import _cell_keys, _grid_side
+from qrange.range_oracle import _BLOCK, _cell_keys, _grid_side, _uniform_blocks
 from qrange.serialize import format_csv_rows
 from conftest import annulus_cloud, disk_cloud, near_collinear_cloud, random_symmetric
 
@@ -89,6 +90,39 @@ def saddle_pair() -> ProblemInstance:
     f = make_quadratic([[-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], 0.0)
     g = make_quadratic([[-2.0, 0.0], [0.0, 2.0]], [2.0, -1.0], 0.0)
     return ProblemInstance(f, g)
+
+
+# The grid on which the Philox kernel must match NumPy's own generator: both
+# ends of the key words and of their 32-bit halves, lone and partial batches
+# of four words, and boxes down to the least subnormal and up to the largest
+# with a finite width.
+KERNEL_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+KERNEL_BLOCKS = (0, 1, 24, 2**32 + 5, 2**64 - 1)
+KERNEL_SHAPES = ((1, 1), (1, 3), (2, 4096), (3, 5), (4, 2), (8, 4095))
+KERNEL_BOXES = (5.0, 3.0, 0.1, 1 / 3, 123456.789, 1e-300, 5e-324, 8.98e307)
+
+
+def _numpy_block(seed: int, block: int, n: int, box: float, rows: int) -> np.ndarray:
+    """The oracle the kernel reproduces: block ``block``'s points from NumPy's own Philox generator."""
+    return np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(block)))).uniform(-box, box, (rows, n))
+
+
+class TestPhiloxKernel:
+    @pytest.mark.parametrize("block", KERNEL_BLOCKS)
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_block_matches_numpy_bit_for_bit(self, seed, block):
+        for (n, rows), box in itertools.product(KERNEL_SHAPES, KERNEL_BOXES):
+            points = _uniform_blocks(seed, block, n, box, rows)
+            assert points.shape == (rows, n)
+            assert points.tobytes() == _numpy_block(seed, block, n, box, rows).tobytes(), (n, rows, box)
+
+    @pytest.mark.parametrize("count", [4097, 12288, 12289, 16385, 20000])
+    def test_domain_points_are_numpys_blocks_across_groups(self, count):
+        # 12289 and 16385 end in a lone row, which joins the block before it
+        # at the end of a group of blocks and in a group of its own.
+        for n, seed in ((1, 0), (3, 2**64 - 1), (5, 7)):
+            blocks = [_numpy_block(seed, b, n, 2.5, min(_BLOCK, count - b * _BLOCK)) for b in range(-(-count // _BLOCK))]
+            assert domain_points(n, 2.5, count, seed).tobytes() == np.concatenate(blocks).tobytes(), (n, seed)
 
 
 class TestDomainPoints:
@@ -177,7 +211,7 @@ class TestSampleRange:
 
     def test_holds_less_than_twice_its_result(self):
         p = ProblemInstance(*(make_quadratic(*q) for q in _random_pair(4, 0)))
-        sample_range(p, 3.0, 10, 0)  # NumPy's random module is imported on first use
+        sample_range(p, 3.0, 10, 0)  # NumPy allocates its caches on first use
         cloud, peak = _traced_peak(lambda: sample_range(p, 3.0, 100_000, 0))
         assert peak < 2 * cloud.points.nbytes
 
