@@ -1,13 +1,32 @@
-"""The digit engine behind :func:`qrange.serialize.csv_row_blocks`.
+"""CSV rows: :func:`csv_blocks` checks an ``(m, 2)`` float64 array and returns
+its rows as CSV lines of ASCII bytes, one block of rows at a time, so a
+caller can write each block out before the next is built.  Each value reads
+as :func:`~qrange.serialize.format_float` prints it.
 
-It prints float64 values exactly as ``format(x, ".17g")`` does, plus the
-``.0`` that :func:`~qrange.serialize.format_float` appends, with NumPy
-building the 17 digits of a whole block of rows at once; how and why that is
-exact is set out in :func:`~qrange.serialize.format_csv_rows`.  Its one
-generator yields the CSV lines as ASCII bytes, one block of rows at a time,
-so a caller can write each block out before the next is built.  It lives
-apart from :mod:`qrange.serialize` so that the commands that write no CSV do
-not compile it; its tables are built on first use.
+``.17g`` prints a value in fixed notation when its 17-digit decimal exponent
+``k`` lies in [-4, 16], that is for ``1e-4 <= |x| < 1e17`` and for ``±0``;
+it round-trips, so the integral values in that window are the ones it
+prints without a point, and those get ``.0``.  NumPy builds that text here,
+a whole block of rows at once:
+
+* ``k`` starts as ``floor(log10|x|)`` and moves by one wherever the exact
+  product ``|x|·10**(16-k)`` falls outside ``[1e16, 1e17)``.
+* Dekker's TwoProduct gives that product exactly as ``hi + lo``: ``10**j``
+  is an exact double for ``j <= 22``, Veltkamp's split makes each partial
+  product exact, no intermediate overflows or underflows in the window, and
+  NumPy rounds every ufunc result (it fuses no multiply-add across calls).
+* ``hi`` is an even integer above ``2**53``, so ``hi + rint(lo)`` is the
+  17-digit integer rounded half to even, as ``.17g`` rounds.  It never
+  reaches ``10**17``: that needs ``|x|`` less than 5e-18 (relative) below a
+  power of ten, and no float64 lies that close to one in the window.
+* A 4-digit table prints the digits into fixed-width byte slots, and a mask
+  looked up by sign, ``k`` and the last nonzero digit keeps the sign, the
+  point, the digits without trailing zeros and the separator.
+
+A row holding a value outside the window (exponent form) is printed value by
+value with :func:`~qrange.serialize.format_float`.  Only
+:mod:`qrange.range_oracle` imports this module, so the commands that write
+no CSV do not compile it; its tables are built on first use.
 """
 
 from __future__ import annotations
@@ -17,6 +36,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .serialize import format_float
 
 __all__ = ["csv_blocks"]
@@ -139,6 +159,17 @@ def _format_block(block: np.ndarray) -> bytes:
 
 
 def csv_blocks(rows: np.ndarray) -> Iterator[bytes]:
-    """The CSV lines of validated, finite ``(m, 2)`` float64 ``rows`` as ASCII bytes, one block of rows at a time."""
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        yield _format_block(rows[start : start + _BLOCK_ROWS])
+    """Check ``rows``, then return their CSV lines as ASCII bytes, one block of rows at a time.
+
+    Anything but an ``(m, 2)`` float64 array raises :class:`DimensionMismatch`,
+    and a non-finite value raises the same :class:`ValueError` as
+    :func:`~qrange.serialize.format_float`; both checks run when this is
+    called, before any block is built.
+    """
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2 and rows.shape[1] == 2):
+        got = f"{rows.dtype} array of shape {rows.shape}" if isinstance(rows, np.ndarray) else type(rows).__name__
+        raise DimensionMismatch(f"CSV rows must be an (m, 2) float64 array, got {got}")
+    finite = np.isfinite(rows)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite value {float(rows[~finite][0])!r}")
+    return (_format_block(rows[start : start + _BLOCK_ROWS]) for start in range(0, len(rows), _BLOCK_ROWS))

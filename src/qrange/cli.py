@@ -19,8 +19,8 @@ Every command takes one path to its bytes.  Its handler in ``_COMMANDS``
 maps the loaded problem (``None`` for ``reproduce``, which reads no file)
 and the parsed arguments to ``(result, exit code)``; ``_run`` loads the
 problem, calls the handler, wraps a result that is not already text in the
-``{command, tolerances, result}`` envelope, renders it and writes it to
-``--output`` or stdout.
+``{command, tolerances, result}`` envelope, renders it with
+:mod:`qrange.serialize` and writes it to ``--output`` or stdout.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     RootFailure,
 )
 from .quadratic import ProblemInstance, ToleranceSet, load_problem
-from .serialize import canonical_json, format_float, jsonable
+from .serialize import canonical_json, jsonable, report_text
 
 __all__ = ["main"]
 
@@ -123,39 +123,6 @@ def _apply_tolerances(p: ProblemInstance, args: argparse.Namespace) -> ProblemIn
     return ProblemInstance(p.f, p.g, p.tolerances.replace(**overrides)) if overrides else p
 
 
-def _render_text(obj: dict[str, Any] | list[Any], indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    lines: list[str] = []
-    if isinstance(obj, dict):
-        for key in obj:
-            value = obj[key]
-            if isinstance(value, (dict, list)) and value:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar_text(value)}")
-    else:
-        for value in obj:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar_text(value)}")
-    return lines
-
-
-def _scalar_text(value: Any) -> str:
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (dict, list)):
-        return "{}" if isinstance(value, dict) else "[]"
-    return str(value)
-
-
 def _check(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
     from .convexity import check_convexity
 
@@ -183,7 +150,7 @@ def _separate(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _witness(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
-    from .convexity import check_convexity, verify_certificate
+    from .convexity import VERDICT_NONCONVEX, check_convexity, verify_certificate
 
     cert = check_convexity(p)
     verification = verify_certificate(p, cert)
@@ -194,7 +161,7 @@ def _witness(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
         "witness": cert.witness,
         "verification": verification,
     }
-    return result, EXIT_INTERNAL if cert.verdict == "NONCONVEX" and not verification["valid"] else EXIT_OK
+    return result, EXIT_INTERNAL if cert.verdict == VERDICT_NONCONVEX and not verification["valid"] else EXIT_OK
 
 
 def _sample(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
@@ -256,7 +223,7 @@ def _run(args: argparse.Namespace) -> int:
     else:
         tolerances = (p.tolerances if p is not None else ToleranceSet()).to_dict()
         doc = {"command": args.command, "tolerances": tolerances, "result": result}
-        text = "\n".join(_render_text(jsonable(doc))) + "\n" if args.format == "text" else canonical_json(doc)
+        text = report_text(doc) if args.format == "text" else canonical_json(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -281,7 +248,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (QRangeError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

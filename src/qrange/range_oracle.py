@@ -43,9 +43,9 @@ from enum import Enum
 
 import numpy as np
 
+from ._csvtext import csv_blocks
 from .errors import DegenerateCloud, InvalidInstance, IoFailure
 from .quadratic import ProblemInstance, evaluate_many
-from .serialize import csv_row_blocks
 
 __all__ = [
     "SampleMode",
@@ -580,10 +580,10 @@ def emit_plot_data(s: RangeSample, report: HoleReport | None, path: str) -> list
     what of it was written, stay.
     """
     root, ext = (path[:-4], path[-4:]) if path.lower().endswith(".csv") else (path, ".csv")
-    files = {root + ext: csv_row_blocks(s.points)}
+    files = {root + ext: csv_blocks(s.points)}
     if report is not None:
-        files[f"{root}_hull{ext}"] = csv_row_blocks(report.hull_vertices)
-        files[f"{root}_holes{ext}"] = csv_row_blocks(report.hole_cells)
+        files[f"{root}_hull{ext}"] = csv_blocks(report.hull_vertices)
+        files[f"{root}_holes{ext}"] = csv_blocks(report.hole_cells)
     for name, blocks in files.items():
         try:
             with open(name, "wb") as fh:

@@ -16,8 +16,9 @@ the canonical JSON of every instance's ``cross_check`` result, certificate,
 Flores-Bazan report and ``verify_certificate`` report.
 
 The bytes are pinned to the environment they were recorded in: NumPy 2.4.6
-with scipy-openblas 0.3.31 (LAPACK eigenvectors and BLAS summation order can
-differ in the last bits elsewhere).  After an intended output change, rewrite
+with scipy-openblas 0.3.31 on its SkylakeX kernel (LAPACK eigenvectors and
+BLAS summation order can differ in the last bits elsewhere, for instance
+under ``OPENBLAS_CORETYPE=Haswell``).  After an intended output change, rewrite
 the files with::
 
     PYTHONPATH=src python tests/test_golden.py

@@ -29,9 +29,8 @@ from qrange import (
     make_quadratic,
     sample_range,
 )
-from qrange._csvtext import _BLOCK_ROWS
+from qrange._csvtext import _BLOCK_ROWS, csv_blocks
 from qrange.range_oracle import _BLOCK, _cell_keys, _grid_side, _uniform_blocks
-from qrange.serialize import format_csv_rows
 from conftest import annulus_cloud, disk_cloud, near_collinear_cloud, random_symmetric
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +72,10 @@ def _random_pair(n: int, seed: int) -> list:
     """The ``[f, g]`` of a random pair in ``n`` variables, as :func:`make_quadratic` arguments."""
     rng = np.random.default_rng([n, seed])
     return [[random_symmetric(rng, n).tolist(), rng.uniform(-2.0, 2.0, n).tolist(), float(rng.uniform(-1.0, 1.0))] for _ in range(2)]
+
+
+def format_csv_rows(rows) -> str:
+    return b"".join(csv_blocks(rows)).decode("ascii")
 
 
 def _traced_peak(fn):

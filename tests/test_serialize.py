@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrange._csvtext import _BLOCK_ROWS
+from qrange._csvtext import _BLOCK_ROWS, csv_blocks
 from qrange.errors import DimensionMismatch
 from qrange.quadratic import load_problem
 from qrange.range_oracle import RangeSample, SampleMode, emit_plot_data, sample_range
-from qrange.serialize import canonical_json, format_csv_rows, format_float, jsonable
+from qrange.serialize import canonical_json, format_float, jsonable, report_text
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -54,6 +54,10 @@ EDGE_VALUES = [
     99999999999999999.0, 1e20, 5e-324, 1e300, 1.7976931348623157e308, 1 / 3, -250.0, 1e-5,
     -1e16, -1e17, -(2.0**53), -5e-324, -1e300,
 ]
+
+
+def format_csv_rows(rows) -> str:
+    return b"".join(csv_blocks(rows)).decode("ascii")
 
 
 def _per_value_csv(rows: np.ndarray) -> str:
@@ -127,7 +131,7 @@ def _ulp_steps(x: float, steps: int) -> list[float]:
 
 
 class TestCsvDigits:
-    """format_csv_rows builds the digits in NumPy; each case compares it with format_float value by value."""
+    """csv_blocks builds the digits in NumPy; each case compares it with format_float value by value."""
 
     def test_decade_boundaries_and_four_ulps_around_them(self):
         # Seventeen digits of |x| round up to 10**k only if |x| lies less than
@@ -234,6 +238,10 @@ class TestCanonicalJson:
     def test_non_string_key_rejected(self):
         with pytest.raises(TypeError, match="keys must be strings, got 1"):
             canonical_json({1: 0.5})
+
+    def test_empty_dict_prints_as_braces_in_both_formats(self):
+        assert canonical_json({"k": {}}) == '{\n  "k": {}\n}\n'
+        assert report_text({"k": {}}) == "k: {}\n"
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError, match="cannot serialize object of type set"):
