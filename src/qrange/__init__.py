@@ -58,9 +58,7 @@ _EXPORTS = {
     "separation": (
         "AffineForm",
         "LevelPairReport",
-        "LevelSearchResult",
         "SeparationReport",
-        "SeparationWitness",
         "affine_separates_quadratic",
         "construct_separation_witness",
         "exists_separating_affine_levels",

@@ -13,7 +13,8 @@ Commands::
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 cross-check
 disagreement, 4 internal invariant violation.  JSON output (the default for
 everything but ``reproduce``) is canonical and byte-stable for identical
-invocations; the effective tolerances are always echoed.
+invocations; the tolerances, read from the problem file (the defaults for
+``reproduce``), are always echoed.
 
 Every command takes one path to its bytes.  Its handler in ``_COMMANDS``
 maps the loaded problem (``None`` for ``reproduce``, which reads no file)
@@ -48,9 +49,6 @@ EXIT_INVALID_INPUT = 2
 EXIT_DISAGREEMENT = 3
 EXIT_INTERNAL = 4
 
-# The --tol-* overrides, named as ToleranceSet fields.
-_TOLERANCE_OVERRIDES = ("tol_eig", "tol_dep", "tol_rank", "tol_psd")
-
 _INTERNAL_ERRORS = (InvalidReport, RootFailure, ConvergenceFailure)
 
 
@@ -77,7 +75,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qrange", description="Convexity of the joint range of two quadratics.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_common(p: _Parser, *, reads_problem: bool = True, decides: bool = True, csv_output: bool = False) -> None:
+    def add_common(p: _Parser, *, reads_problem: bool = True, csv_output: bool = False) -> None:
         if reads_problem:
             p.add_argument("--input", "-i", required=True, help="problem JSON file")
         if csv_output:
@@ -87,9 +85,6 @@ def _build_parser() -> _Parser:
         else:
             p.add_argument("--output", "-o", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default=None, help="output format")
-        if decides:
-            for name in _TOLERANCE_OVERRIDES:
-                p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, help=f"override {name}")
 
     add_common(sub.add_parser("check", help="decide convexity of the joint range"))
     add_common(sub.add_parser("fb-check", help="decide via the direction criterion"))
@@ -104,7 +99,7 @@ def _build_parser() -> _Parser:
     add_common(sub.add_parser("witness", help="nonconvexity witness with verification"))
 
     p_sample = sub.add_parser("sample", help="sample the joint range and look for holes")
-    add_common(p_sample, decides=False, csv_output=True)
+    add_common(p_sample, csv_output=True)
     p_sample.add_argument("--box", type=float, default=None, help="domain half-width (default 5, or 3 above dimension 4)")
     p_sample.add_argument("--samples", type=int, default=100_000, help="number of sample points")
     p_sample.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -114,13 +109,8 @@ def _build_parser() -> _Parser:
     p_sample.add_argument("--min-cluster", type=int, default=4, help="smallest hole-cell cluster that counts")
 
     p_reproduce = sub.add_parser("reproduce", help="re-derive the curated suite expectations")
-    add_common(p_reproduce, reads_problem=False, decides=False)
+    add_common(p_reproduce, reads_problem=False)
     return parser
-
-
-def _apply_tolerances(p: ProblemInstance, args: argparse.Namespace) -> ProblemInstance:
-    overrides = {name: v for name in _TOLERANCE_OVERRIDES if (v := getattr(args, name, None)) is not None}
-    return ProblemInstance(p.f, p.g, p.tolerances.replace(**overrides)) if overrides else p
 
 
 def _check(p: ProblemInstance, args: argparse.Namespace) -> tuple[Any, int]:
@@ -216,7 +206,7 @@ _COMMANDS = {
 
 def _run(args: argparse.Namespace) -> int:
     """Load the problem, run the command's handler, and write its report."""
-    p = _apply_tolerances(load_problem(args.input), args) if "input" in args else None
+    p = load_problem(args.input) if "input" in args else None
     result, code = _COMMANDS[args.command](p, args)
     if isinstance(result, str):
         text = result

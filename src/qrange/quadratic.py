@@ -8,7 +8,6 @@ convention; loaders reject files that declare anything else.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -58,10 +57,6 @@ class ToleranceSet:
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise InvalidInstance(f"{name} must lie strictly inside (0, 1), got {value!r}")
-
-    def replace(self, **overrides: float) -> "ToleranceSet":
-        """Return a copy with the given fields overridden."""
-        return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> dict[str, float]:
         return {name: float(getattr(self, name)) for name in _TOL_FIELDS}

@@ -23,8 +23,10 @@ hyperplane nearest ``f``'s stationary point ``x_c = -pinv(A) a``:
 Separation holds iff some orientation passes all three.  The margin test uses
 a relative threshold, so boundary cases (margin within tolerance of zero) are
 reported as non-separating with ``near_degenerate=True``.  The threshold is
-sized by the terms ``f`` sums at ``x0``; where they or ``x_c`` overflow, the
-query is :class:`InvalidInstance`.
+sized by the terms ``f`` sums at ``x0``.  Where they overflow and ``a`` lies
+in the column space of ``A``, ``f(x0)`` is summed about ``x_c`` instead;
+where that overflows too, or ``x_c`` does, the query is
+:class:`InvalidInstance`.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ from .spectral import (
 __all__ = [
     "AffineForm",
     "SeparationReport",
-    "SeparationWitness",
-    "LevelSearchResult",
     "LevelPairReport",
     "affine_separates_quadratic",
     "exists_separating_affine_levels",
@@ -246,11 +246,13 @@ class HyperplaneReduction:
     def alone(cls, f: QuadraticFunction, c: np.ndarray, tol: ToleranceSet | None) -> "HyperplaneReduction":
         """The reduction of ``f`` along a ``c`` given on its own, so ``c_scale = ||c||``.
 
-        Each public entry point validates here: ``c`` must have shape ``(f.n,)``; ``tol=None`` is the default.
+        Each public entry point validates here: ``c`` must be finite, of shape ``(f.n,)``; ``tol=None`` is the default.
         """
         c = np.asarray(c, dtype=float)
         if c.shape != (f.n,):
             raise DimensionMismatch(f"direction has shape {c.shape}, expected ({f.n},)")
+        if not np.isfinite(c).all():
+            raise InvalidInstance("direction must be finite")
         return cls(f, c, tol or ToleranceSet(), _norms(f))
 
     @_lazy
@@ -446,22 +448,24 @@ def _affine_separates(red: HyperplaneReduction, c0: float, alpha: float = 0.0) -
     # are exact negatives of one another (at most one orientation can pass).
     # Each test is a tolerance times the size of what it compares: with
     # r = 1 + ||x0||, scale * r bounds the projected gradient ||A x0 + a||,
-    # and |f(x0)|, the term and the terms f sums at x0 bound the margin
-    # f(x0) - term.  Where those terms overflow, f(x0) cannot be evaluated.
+    # and |f(x0)|, the term and the terms f sums at x0 (or, where those
+    # overflow, about x_c) bound the margin f(x0) - term.
     dist = (float(np.vdot(red.c, red.x_c)) + c0) / red.norm_c
     if not math.isfinite(dist):
         raise InvalidInstance(_FAR_FOOT)
-    x0 = red.x_c - dist * (red.c / red.norm_c)
+    step = dist * (red.c / red.norm_c)
+    x0 = red.x_c - step
     r = 1.0 + _norm(x0)
     terms = red.terms(r)
-    if not math.isfinite(terms):
-        raise InvalidInstance(_FAR_FOOT)
-    f_x0 = evaluate(f, x0)
+    f_x0, far_terms = (evaluate(f, x0), None) if math.isfinite(terms) else _far_foot_value(red, f.a0, step, dist)
     tol = red.tol
     w = red.V.T @ (f.A @ x0 + f.a)
     cutoff = min(tol.tol_rank, tol.tol_psd) * red.sd.spectral_norm
     quad_term = apply_pseudoinverse(red.sd_w, w, cutoff, tol.tol_rank * red.scale * r)
-    threshold = tol.tol_psd * (abs(f_x0) + abs(quad_term or 0.0) + terms)
+    if far_terms is None:
+        threshold = tol.tol_psd * (abs(f_x0) + abs(quad_term or 0.0) + terms)
+    else:
+        threshold = tol.tol_psd * abs(f_x0) + tol.tol_psd * abs(quad_term or 0.0) + far_terms
 
     failed: dict[int, tuple[str, ...]] = {}
     near_degenerate = False
@@ -492,6 +496,24 @@ def _affine_separates(red: HyperplaneReduction, c0: float, alpha: float = 0.0) -
         failed_conditions=failed,
         near_degenerate=False,
     )
+
+
+def _far_foot_value(red: HyperplaneReduction, a0: float, step: np.ndarray, dist: float) -> tuple[float, float]:
+    """``f(x0)`` at ``x0 = x_c - step``, ``|step| = |dist|``, where ``x0``'s own terms overflow.
+
+    With ``a`` in the column space of ``A``, ``f(x0) = a0 + a'x_c +
+    step' A step`` sums only terms about ``x_c``.  Also returns those terms,
+    each scaled by ``tol_psd`` before the sum, which may overflow on its own.
+    :class:`InvalidInstance` when ``a`` lies outside or a term or the value overflows.
+    """
+    f = red.f
+    if red.a_in:
+        terms = (abs(a0), float(np.vdot(np.abs(f.a), np.abs(red.x_c))), red.f_norms[0] * dist * dist)
+        if max(terms) < math.inf:
+            value = a0 + float(np.vdot(f.a, red.x_c)) + float(step.dot(f.A).dot(step))
+            if math.isfinite(value):
+                return value, sum(red.tol.tol_psd * t for t in terms)
+    raise InvalidInstance(_FAR_FOOT)
 
 
 def exists_separating_affine_levels(

@@ -14,6 +14,7 @@ from qrange import (
     VERDICT_NONCONVEX,
     ProblemInstance,
     RootFailure,
+    ToleranceSet,
     curated_cases,
     get_case,
     load_problem,
@@ -178,10 +179,11 @@ class TestExitCodes:
         # negative eigenvalue is the larger, not an internal error (exit 4).
         f = make_quadratic(np.diag([-1e-6, 1.0]), [0.0, 0.3], 0.0)
         path = tmp_path / "both.json"
-        save_problem(ProblemInstance(f, make_quadratic(f.A, [0.0, 1.0], 0.0)), str(path))
+        tol = ToleranceSet(tol_psd=1e-3)
+        save_problem(ProblemInstance(f, make_quadratic(f.A, [0.0, 1.0], 0.0), tol), str(path), include_tolerances=True)
         results = {}
         for command in ("check", "witness"):
-            code, out, err = run_cli(capsys, command, "--input", str(path), "--tol-psd", "1e-3")
+            code, out, err = run_cli(capsys, command, "--input", str(path))
             assert (code, err) == (0, ""), command
             results[command] = json.loads(out)["result"]
         assert (results["check"]["verdict"], results["check"]["orientation"]) == ("NONCONVEX", -1)
@@ -192,8 +194,9 @@ class TestExitCodes:
         # restricted form's pseudoinverse keep it too: a verdict, not exit 4.
         f = make_quadratic(np.diag([-1e-6, 1.0]), [1e-3, 0.5], 0.0)
         path = tmp_path / "weak.json"
-        save_problem(ProblemInstance(f, make_quadratic(f.A, [1.1e-2, 1.0], 0.0)), str(path))
-        code, out, err = run_cli(capsys, "check", "--input", str(path), "--tol-rank", "1e-2")
+        tol = ToleranceSet(tol_rank=1e-2)
+        save_problem(ProblemInstance(f, make_quadratic(f.A, [1.1e-2, 1.0], 0.0), tol), str(path), include_tolerances=True)
+        code, out, err = run_cli(capsys, "check", "--input", str(path))
         assert (code, err) == (0, "")
         assert json.loads(out)["result"]["verdict"] == "NONCONVEX"
 
@@ -262,8 +265,11 @@ class TestCheckCommand:
         assert doc["command"] == "check"
         assert doc["tolerances"]["tol_dep"] == pytest.approx(1e-9)
 
-    def test_tolerance_override_echoed(self, capsys):
-        _, out, _ = run_cli(capsys, "check", "--input", SPLIT, "--tol-dep", "1e-6")
+    def test_tolerance_override_echoed(self, capsys, tmp_path):
+        path = tmp_path / "split.json"
+        p = load_problem(SPLIT)
+        save_problem(ProblemInstance(p.f, p.g, ToleranceSet(tol_dep=1e-6)), str(path), include_tolerances=True)
+        _, out, _ = run_cli(capsys, "check", "--input", str(path))
         doc = json.loads(out)
         assert doc["tolerances"]["tol_dep"] == pytest.approx(1e-6)
 
@@ -436,20 +442,18 @@ class TestOtherCommands:
             assert [row["passed"] for row in doc["rows"]] == [True, False]
 
     @pytest.mark.parametrize("flag", ["--tol-eig", "--tol-dep", "--tol-rank", "--tol-psd"])
-    def test_reproduce_rejects_tolerance_override(self, capsys, flag):
-        # reproduce always runs at the default tolerances, so an override would be ignored.
-        code, out, err = run_cli(capsys, "reproduce", flag, "0.5")
-        assert code == 1
-        assert out == ""
-        assert "usage error" in err
-
-    @pytest.mark.parametrize("flag", ["--tol-eig", "--tol-dep", "--tol-rank", "--tol-psd"])
-    def test_sample_rejects_tolerance_override(self, capsys, tmp_path, flag):
-        # sample decides nothing, so an override would be ignored.
-        code, out, err = run_cli(capsys, "sample", "--input", SPLIT, "--output", str(tmp_path / "cloud"), flag, "0.5")
-        assert code == 1
-        assert out == ""
-        assert "usage error" in err
+    def test_no_command_takes_a_tolerance_flag(self, capsys, tmp_path, flag):
+        # Tolerances come only from the problem file's "tolerances" object.
+        report = ["--output", str(tmp_path / "report")]
+        every_argv = [
+            *([*argv, *report] for argv in DECISION_ARGV.values()),
+            ["sample", "--input", SPLIT, "--output", str(tmp_path / "cloud")],
+            ["reproduce", *report],
+        ]
+        for argv in every_argv:
+            code, out, err = run_cli(capsys, *argv, flag, "0.5")
+            assert (code, out) == (1, ""), argv[0]
+            assert "usage error" in err
         assert list(tmp_path.iterdir()) == []
 
 

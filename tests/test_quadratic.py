@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 
@@ -209,9 +210,12 @@ class TestToleranceSet:
         assert d["tol_residual"] == 1e-7
 
     def test_replace(self, default_tolerances):
-        t = default_tolerances.replace(tol_dep=1e-6)
+        # dataclasses.replace overrides one field and reruns the range checks.
+        t = dataclasses.replace(default_tolerances, tol_dep=1e-6)
         assert t.tol_dep == 1e-6
         assert t.tol_eig == default_tolerances.tol_eig
+        with pytest.raises(InvalidInstance):
+            dataclasses.replace(default_tolerances, tol_psd=1.0)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidInstance):

@@ -33,6 +33,18 @@ def hyperbola(a0: float = 0.0):
     return make_quadratic([[-1.0, 0.0], [0.0, 4.0]], [0.0, 0.0], a0)
 
 
+@pytest.mark.parametrize("name", ["SeparationWitness", "LevelSearchResult"])
+def test_result_type_imports_from_its_module_only(name):
+    # The traced functions still return these types, but the package does not export them.
+    import qrange
+    import qrange.separation
+
+    assert isinstance(getattr(qrange.separation, name), type)
+    assert name not in qrange.separation.__all__
+    with pytest.raises(ImportError):
+        exec(f"from qrange import {name}", {})
+
+
 class TestAffineForm:
     def test_evaluation(self):
         h = AffineForm(np.array([2.0, -1.0]), 3.0)
@@ -125,15 +137,13 @@ class TestAffineSeparatesQuadratic:
             ([-1e-150, 1e-158], [0.0, 1e152], [0.0, 1.0], 0.0, r"pinv\(A\) a overflows"),
             # The stationary point's distance from the hyperplane overflows.
             ([-1.0, 1.0], [0.0, 0.0], [1e-150, 0.0], 1e200, "terms at the foot point overflow"),
-            # The foot point x_c = (0, -1e154) fits, but 2 a'x0 = -2e308 does not.
-            ([-1.0, 1.0], [0.0, 1e154], [1.0, 0.0], 0.0, "terms at the foot point overflow"),
         ],
-        ids=["far_stationary_point", "far_hyperplane", "far_foot_point_terms"],
+        ids=["far_stationary_point", "far_hyperplane"],
     )
     def test_far_stationary_point_or_hyperplane_is_invalid_input(self, a_mat, a, c, c0, message):
         # The margin is measured from the stationary point; where it or the
-        # terms f sums at the hyperplane's foot point lie beyond the float
-        # range, the query is invalid input, and nothing warns.
+        # hyperplane's foot point lies beyond the float range, the query is
+        # invalid input, and nothing warns.
         f = make_quadratic(np.diag(a_mat), a, 0.0)
         with pytest.raises(InvalidInstance, match=message):
             affine_separates_quadratic(f, AffineForm(np.array(c), c0))
@@ -148,8 +158,11 @@ class TestAffineSeparatesQuadratic:
             # x_c = (0, -1e153) on {x1 = 0}: its terms fit, so the pair is
             # decided, with minimum -1e306.
             ([0.0, 1e153], 0.0, (False, None)),
+            # x_c = (0, -1e154): 2 a'x_c = -2e308 overflows, but summed about
+            # x_c, f's terms fit and the minimum is -1e308.
+            ([0.0, 1e154], 0.0, (False, None)),
         ],
-        ids=["small_margin", "far_stationary_point"],
+        ids=["small_margin", "far_stationary_point", "far_foot_point_terms"],
     )
     def test_far_stationary_point_on_the_hyperplane_is_decided(self, a, a0, answer):
         f = make_quadratic(np.diag([-1.0, 1.0]), a, a0)
@@ -223,6 +236,11 @@ class TestExistsSeparatingAffineLevels:
     def test_zero_direction_is_rejected(self):
         with pytest.raises(ZeroVector):
             exists_separating_affine_levels(hyperbola(), np.zeros(2), TOL)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_direction_is_rejected(self, bad):
+        with pytest.raises(InvalidInstance, match="direction must be finite"):
+            exists_separating_affine_levels(hyperbola(), np.array([bad, 1.0]), TOL)
 
     def test_levels_that_overflow_are_invalid_input(self):
         # x_c = (0, -1e200) fits, but the margin grows as ||A||_2 (1 + ||x_c||)^2
